@@ -52,12 +52,13 @@ def coherent_projector(z, n):
     """Density matrix |z><z| of the coherent state a|z> = z|z>.
 
     Amplitudes are the truncated expansion e^{-|z|^2/2} z^k / sqrt(k!),
-    renormalized on the retained levels.
+    built by the recurrence amp_k = amp_{k-1} z / sqrt(k) (no factorial,
+    so no overflow at large n) and renormalized on the retained levels.
     """
-    k = np.arange(n)
-    amps = np.array([z**m / math.sqrt(math.factorial(m)) for m in k],
-                    dtype=complex)
-    amps *= np.exp(-abs(z) ** 2 / 2)
+    amps = np.empty(n, dtype=complex)
+    amps[0] = np.exp(-abs(z) ** 2 / 2)
+    for k in range(1, n):
+        amps[k] = amps[k - 1] * z / math.sqrt(k)
     amps /= np.linalg.norm(amps)
     return np.outer(amps, amps.conj())
 

@@ -12,9 +12,12 @@ state is a positive operator exactly when mu > 0 and nu >= 0.
 Two independent routes to positivity are implemented: the algebraic
 predicate above, and a quadrature construction of the Fock-basis matrix
 whose smallest eigenvalue is scanned directly.  The numeric scan is the
-ground truth for the transformation-domain bounds; closed forms are
-reported next to it, in both printed and rederived variants where the
-two disagree.
+ground truth for the transformation-domain bounds.  Every family is
+scanned the same way: its parameter flow (transformed_gaussian) gives the
+transformed Gaussian, and quadrature gives its Fock-basis matrix; a test
+pins the thermal flow to the literal exp(alpha O0) action on the Fock
+state.  Closed forms are reported next to the scan, in both printed and
+rederived variants where the two disagree.
 
 Everything is dimensionless (m = omega0 = hbar = 1 internally); x is the
 scaled position sqrt(m omega0) q.
@@ -24,9 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .liouville import unvec, vec
-from .transforms import TransformSequence, apply_sequence_to_vec
 
 POSITIVITY_SLACK = 1e-12
 
@@ -121,8 +121,11 @@ def hermite_psi(nmax, x):
 def fock_from_gaussian(s, n, half_width=12.0, npts=601):
     """Fock-basis matrix of the stationary Gaussian by grid quadrature.
 
-    rho_mn = integral psi_m(x) rho(x, xt) psi_n(xt) dx dxt with the
-    kernel evaluated in (Q, r).  The result is hermitized and
+    rho_mn = integral psi_m(x) rho(x, xt) psi_n(xt) dx dxt.  The exponent
+    -Q^2/w - b r^2/2 is expanded in (x, xt) as -a (x^2 + xt^2) + c x xt,
+    a = 1/(4w) + b/2, c = b - 1/(2w), and built in one grid-sized array
+    filled in place (each further grid-sized temporary costs a fresh
+    mmap and its page faults).  The result is hermitized and
     trace-normalized; eigenvalues of the exact operator are reproduced
     to ~1e-13 for unit-scale widths at n = 30.  Requires a normalizable
     kernel: w > 0 and b > 0.
@@ -133,9 +136,11 @@ def fock_from_gaussian(s, n, half_width=12.0, npts=601):
                          f"b = {s.b:.6g} (both must be positive)")
     x = np.linspace(-half_width, half_width, npts)
     dx = x[1] - x[0]
-    X, Xt = np.meshgrid(x, x, indexing="ij")
-    Q, r = (X + Xt) / 2, X - Xt
-    G = np.exp(-Q ** 2 / w - s.b * r ** 2 / 2)
+    ax2 = (1 / (4 * w) + s.b / 2) * x * x
+    G = np.multiply.outer((s.b - 1 / (2 * w)) * x, x)
+    G -= ax2[:, None]
+    G -= ax2
+    np.exp(G, out=G)
     psi = hermite_psi(n, x)
     rho = (psi @ G @ psi.T) * dx * dx
     rho = (rho + rho.T) / 2
@@ -241,37 +246,23 @@ def transformed_gaussian(kind, s, p, phi=0.0):
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def numeric_positivity_boundary(family, base, lo, hi, tol=1e-4,
-                                state_fn=None, floor=1e-12):
+def numeric_positivity_boundary(state_fn, lo, hi, tol=1e-4, floor=1e-12):
     """Bisect the scan parameter for the sign change of the smallest
-    eigenvalue of the transformed, renormalized state.
+    eigenvalue of state_fn(p), the transformed, renormalized state.
 
-    family maps the parameter to a TransformSequence applied literally
-    to base (a density matrix); that route is exact for unitary steps
-    but useless for shear steps, whose truncated exponentials corrupt
-    the spectrum long before the true boundary.  For those, pass
-    state_fn(p) returning the transformed state directly (built from the
-    parameter flow; see transformed_gaussian).  Accuracy tol in the
-    parameter; raises if min-eig has the same sign at both ends.
+    positivity_boundary builds state_fn from the family's parameter flow
+    (transformed_gaussian) and quadrature, never by exponentiating a
+    truncated generator: shear steps amplify the truncation tails wildly,
+    and even the diagonal O0 dilation, applied literally, turns the
+    truncated state negative at both ends of the bracket once b >= 1.5.
+    Accuracy tol in the parameter; raises if min-eig has the same sign
+    at both ends.
 
     floor is the noise allowance on the eigenvalue: reconstructed states
     inside the positive domain carry O(1e-15) negative roundoff, so
     "positive" means min-eig > -floor.  The located root shifts by
     floor/slope, negligible against tol.
     """
-    if state_fn is None:
-        base = np.asarray(base, dtype=complex)
-        n = base.shape[0]
-
-        def state_fn(p):
-            seq = family(p)
-            if not isinstance(seq, TransformSequence):
-                seq = TransformSequence(seq)
-            v = apply_sequence_to_vec(seq, vec(base), n)
-            rho = unvec(v, n)
-            rho = (rho + rho.conj().T) / 2
-            return rho / np.trace(rho).real
-
     def positive(p):
         return float(np.linalg.eigvalsh(state_fn(p)).min()) > -floor
 
@@ -292,45 +283,32 @@ def numeric_positivity_boundary(family, base, lo, hi, tol=1e-4,
 def positivity_boundary(kind, s, n=30, phi=0.0, tol=1e-4, bracket=None):
     """Numeric positivity boundary for one of the five families.
 
-    The thermal family exponentiates a diagonal generator, so the
-    literal superoperator route on a Fock-basis Gibbs state is used.
-    The other four involve shear steps and go through the parameter
-    flow plus quadrature reconstruction.  Brackets default to the
-    derived closed form +- 0.4, clipped to the normalizable region.
+    Every family goes through the same route: the parameter flow gives
+    the transformed Gaussian, quadrature its Fock-basis matrix at cutoff
+    n, and numeric_positivity_boundary the sign change of its smallest
+    eigenvalue.  Brackets default to the derived closed form +- 0.4,
+    clipped to the normalizable region; the thermal flow keeps b' = b
+    e^alpha and w' = w e^alpha positive, so its bracket needs no clip.
     """
-    if kind == "thermal":
-        if bracket is None:
-            a = domain_bound(kind, s)["derived"]
-            bracket = (a - 0.4, a + 0.4)
-        base = fock_from_gaussian(s, n)
-        return numeric_positivity_boundary(
-            lambda p: TransformSequence([("O0", p)]), base,
-            bracket[0], bracket[1], tol=tol)
-
     if bracket is None:
         bnd = domain_bound(kind, s, phi=phi)
+        a = bnd.get("derived", bnd.get("bound"))
+        lo, hi = a - 0.4, a + 0.4
         if kind == "translate":
-            a = bnd["bound"]
-            lo = max(a - 0.4, -2 * s.b + 0.02)  # w' = 2b + beta > 0
-            bracket = (lo, a + 0.4)
-        elif kind == "cl2hpz":
-            a = bnd["bound"]  # upper boundary; scan the lower by hand
-            bracket = (a - 0.4, min(a + 0.4, 2 * s.b - 0.02))  # w' = 2b - z
+            lo = max(lo, -2 * s.b + 0.02)  # w' = 2b + beta > 0
+        elif kind == "cl2hpz":  # upper boundary; scan the lower by hand
+            hi = min(hi, 2 * s.b - 0.02)  # w' = 2b - z
         elif kind == "kl2cl":
-            a = bnd["bound"]
-            bracket = (max(a - 0.4, 0.0), a + 0.4)
+            lo = max(lo, 0.0)
         elif kind == "hpz":
-            a = bnd["derived"]
-            lo = max(a - 0.4, -s.b * math.exp(2 * phi) + 0.02)  # b' > 0
-            bracket = (lo, a + 0.4)
-        else:
-            raise ValueError(f"unknown domain kind {kind!r}")
+            lo = max(lo, -s.b * math.exp(2 * phi) + 0.02)  # b' > 0
+        bracket = (lo, hi)
 
     def state_fn(p):
         return fock_from_gaussian(transformed_gaussian(kind, s, p, phi), n)
 
-    return numeric_positivity_boundary(None, None, bracket[0], bracket[1],
-                                       tol=tol, state_fn=state_fn)
+    return numeric_positivity_boundary(state_fn, bracket[0], bracket[1],
+                                       tol=tol)
 
 
 # ---------------------------------------------------- position-space check

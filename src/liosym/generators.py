@@ -181,16 +181,9 @@ def trace_residuals(rho, gens, n):
     for name in UNITARY + CONSERVING:
         J = gens[name] - eye / 2 if name == "O0" else gens[name]
         out[name] = abs(np.trace(unvec(J @ v, n)))
-    a = annihilation(n)
-    ad = a.conj().T
-    direct = {
-        "O-": np.trace((ad @ a + a @ ad) @ rho),
-        "L1-": np.trace((ad @ ad + a @ a) @ rho),
-        "L2-": -1j * np.trace((ad @ ad - a @ a) @ rho),
-    }
     for name in NONCONSERVING:
         lhs = np.trace(unvec(gens[name] @ v, n))
-        out[name] = abs(lhs - direct[name])
+        out[name] = abs(lhs - trace_moment(name, rho))
     return out
 
 

@@ -121,14 +121,18 @@ def evolve(K, rho0, times):
     x_op, p_op = position(n), momentum(n)
     num = number(n)
 
-    props = {}  # dt -> exp(-K dt), reused across equal steps
+    # (dt, exp(-K dt)) pairs, reused for every step whose dt agrees to a
+    # relative 1e-12: the steps of a linspace differ in the last bits
+    props = []
 
     def step(v, dt):
         if dt == 0.0:
             return v
-        if dt not in props:
-            props[dt] = expm(-dt * mat)
-        return props[dt] @ v
+        for dt0, prop in props:
+            if abs(dt - dt0) <= 1e-12 * dt0:
+                return prop @ v
+        props.append((dt, expm(-dt * mat)))
+        return props[-1][1] @ v
 
     states = np.empty((len(times), n, n), dtype=complex)
     v = vec(rho0)

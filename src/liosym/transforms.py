@@ -167,37 +167,11 @@ def superop_similarity(seq, K, n, gens=None):
     return S @ K @ Sinv
 
 
-# -------------------------------------------------------------- eigh cache
-# For repeated applications (boundary scans) exp(pJ) v is evaluated from a
-# cached eigendecomposition: hermitian J via eigh(J), anti-hermitian J via
-# eigh(iJ).
-_eig_cache = {}
-
-
-def apply_step_to_vec(step, v, n, gens=None):
-    key = (step.generator, n)
-    if key not in _eig_cache:
-        J = (gens or ten_generators(n))[step.generator]
-        if step.generator in CONSERVING:
-            w, U = np.linalg.eigh(J)
-            _eig_cache[key] = ("h", w, U)
-        else:
-            w, U = np.linalg.eigh(1j * J)
-            _eig_cache[key] = ("a", w, U)
-    kind, w, U = _eig_cache[key]
-    c = U.conj().T @ v
-    c = np.exp(step.parameter * w) * c if kind == "h" \
-        else np.exp(-1j * step.parameter * w) * c
-    return U @ c
-
-
 def apply_sequence_to_vec(seq, v, n, gens=None):
     """S v with the rightmost step acting first."""
     if not isinstance(seq, TransformSequence):
         seq = TransformSequence(seq)
-    for step in reversed(seq.steps):
-        v = apply_step_to_vec(step, v, n, gens)
-    return v
+    return seq.matrix(n, gens) @ v
 
 
 # ------------------------------------------------------------ state builders

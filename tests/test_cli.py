@@ -166,6 +166,19 @@ def test_domain_thermal_reports_both_closed_forms(tmp_path):
     assert report["agree"]
 
 
+def test_domain_thermal_at_high_b(tmp_path):
+    # applying exp(alpha O0) to the truncated Fock state went negative at
+    # both ends of the bracket here; the parameter flow does not
+    b, d = 1.8, 0.3
+    code, report = run_json(
+        tmp_path, ["domain", "--kind", "thermal", "--b", str(b),
+                   "--d", str(d), "--fock-dim", "24"])
+    assert code == 0
+    assert report["agree"] is True
+    derived = -0.5 * math.log(2 * b * (2 * b + d))
+    assert report["numeric"]["boundary"] == pytest.approx(derived, abs=1e-3)
+
+
 def test_domain_cl2hpz_scans_both_edges(tmp_path):
     code, report = run_json(
         tmp_path, ["domain", "--kind", "cl2hpz", "--b", "1"])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from liosym import (
     GaussianParams,
@@ -28,7 +29,8 @@ from liosym import (
     transformed_gaussian,
     uncertainty_product,
 )
-from liosym.transforms import TransformSequence
+from liosym.generators import ten_generators
+from liosym.liouville import unvec, vec
 
 
 def test_gaussian_from_bd_examples():
@@ -174,18 +176,30 @@ def test_domain_bound_values():
         domain_bound("squeeze", s)
 
 
-def test_numeric_boundary_thermal_literal_route():
-    # the O0 dilation is applied literally to the Fock-basis Gibbs state;
-    # the scan lands on the derived -ln(2b), not the printed +ln(2b)
-    got = positivity_boundary("thermal", StationaryGaussian(1.0), n=24)
-    assert abs(got - (-math.log(2.0))) < 1e-3
+def test_thermal_flow_matches_the_literal_O0_action():
+    # the scan builds the dilated state from the flow b' = b e^alpha,
+    # d' = d e^alpha; this pins it to exp(alpha O0) applied literally to
+    # the Fock-basis state
+    n = 30
+    O0 = ten_generators(n)["O0"]
+    bases = (StationaryGaussian(1.0), StationaryGaussian(1.0, 0.3))
+    for alpha in (-0.3, 0.2):
+        S = expm(alpha * O0)
+        for s in bases:
+            lit = unvec(S @ vec(fock_from_gaussian(s, n)), n)
+            lit = (lit + lit.conj().T) / 2
+            lit /= np.trace(lit).real
+            flow = fock_from_gaussian(
+                transformed_gaussian("thermal", s, alpha), n)
+            assert np.abs(lit - flow).max() < 1e-10, (s, alpha)
 
 
 def test_numeric_boundary_needs_a_sign_change():
-    base = fock_from_gaussian(StationaryGaussian(1.0), 16)
+    s = StationaryGaussian(1.0)
     with pytest.raises(ValueError, match="no sign change"):
         numeric_positivity_boundary(
-            lambda p: TransformSequence([("O0", p)]), base, -0.1, 0.1)
+            lambda p: fock_from_gaussian(
+                transformed_gaussian("thermal", s, p), 16), -0.1, 0.1)
 
 
 def test_positivity_boundary_flow_families():

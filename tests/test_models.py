@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from liosym import (
     CoefficientVector,
@@ -20,6 +21,7 @@ from liosym import (
     map_kl_to_cl,
     model_coefficients,
     model_generator,
+    models,
     momentum,
     number,
     position,
@@ -101,6 +103,32 @@ def test_evolve_semigroup_split():
     traj = evolve(K, rho0, [0.0, 1.0, 2.0])
     resumed = evolve(K, traj.states[1], [0.0, 1.0])
     assert np.abs(resumed.states[1] - traj.states[2]).max() < 1e-12
+
+
+def test_evolve_reuses_the_propagator_across_a_linspace(monkeypatch):
+    # the steps of linspace(0, 50, 1001) take 11 distinct float values
+    n = 14
+    K = model_generator(ModelParams("KL", 1.0, 0.4, 0.6), n)
+    times = np.linspace(0, 50, 1001)
+    rho0 = fock_projector(1, n)
+
+    exact = {dt: expm(-dt * K.mat) for dt in set(np.diff(times))}
+    v = rho0.reshape(-1)
+    want = [rho0]
+    for dt in np.diff(times):
+        v = exact[dt] @ v
+        want.append(v.reshape(n, n))
+
+    calls = []
+
+    def counting_expm(a):
+        calls.append(1)
+        return expm(a)
+
+    monkeypatch.setattr(models, "expm", counting_expm)
+    traj = evolve(K, rho0, times)
+    assert len(exact) > 1 and len(calls) == 1
+    assert np.abs(traj.states - np.array(want)).max() < 1e-12
 
 
 def test_evolve_relaxes_to_the_thermal_state():

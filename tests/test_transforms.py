@@ -11,11 +11,11 @@ from liosym.generators import (CONSERVING, UNITARY, CoefficientVector,
                                build_generator, ten_generators)
 from liosym.liouville import safe_block_residual, unvec, vec
 from liosym.transforms import (TransformSequence, TransformStep,
-                               apply_sequence, apply_sequence_to_vec,
-                               coefficient_map, derivative_map,
-                               diagonalize_frequency, displaced_vacuum_terms,
-                               displacement_superops, gibbs_from_vacuum,
-                               superop_similarity, vacuum_annihilating_K)
+                               apply_sequence, coefficient_map,
+                               derivative_map, diagonalize_frequency,
+                               displaced_vacuum_terms, displacement_superops,
+                               gibbs_from_vacuum, superop_similarity,
+                               vacuum_annihilating_K)
 
 RNG = np.random.default_rng(31)
 MAPPABLE = UNITARY + CONSERVING
@@ -152,15 +152,6 @@ def test_superop_similarity_matches_map_for_compact_rotation():
     lhs = superop_similarity(seq, K, n, gens)
     rhs = build_generator(apply_sequence(seq, c), gens, n)
     assert safe_block_residual(lhs - rhs, n) < 1e-8
-
-
-def test_apply_sequence_to_vec_matches_dense_matrix():
-    n = 10
-    seq = TransformSequence([("iM2", 0.3), ("O+", 0.2), ("iL0", 0.5)])
-    v = vec(thermal_state(1.0, n)).astype(complex)
-    direct = seq.matrix(n) @ v
-    cached = apply_sequence_to_vec(seq, v, n)
-    assert np.abs(direct - cached).max() < 1e-10
 
 
 # ------------------------------------------------------------------ states
