@@ -24,11 +24,15 @@ COMMUTATION_TABLE below.  They split into
 
 Only UNITARY + CONSERVING may appear in physical generators and symmetry
 transformations; the NONCONSERVING three complete the algebra.
+
+The ten are built sparse, from sparse ladder krons; ten_generators returns
+dense views (for dense exponentials and the identity checks) by default.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .fock import annihilation
 from .liouville import make_superoperator
@@ -42,10 +46,11 @@ NONCONSERVING = ("O-", "L1-", "L2-")
 
 
 def ladder_superops(n):
-    """The four basic ladder maps a1, a1d, a2, a2d as n^2 x n^2 matrices."""
-    a = annihilation(n)
+    """The four basic ladder maps a1, a1d, a2, a2d as sparse n^2 x n^2
+    matrices."""
+    a = sparse.csr_array(annihilation(n))
     ad = a.conj().T
-    eye = np.eye(n, dtype=complex)
+    eye = sparse.eye_array(n, dtype=complex)
     return {
         "a1": make_superoperator(a, eye),
         "a1d": make_superoperator(ad, eye),
@@ -54,12 +59,13 @@ def ladder_superops(n):
     }
 
 
-def ten_generators(n):
-    """All ten bilinear generators at cutoff n, keyed by name."""
+def ten_generators(n, dense=True):
+    """All ten bilinear generators at cutoff n, keyed by name: sparse
+    products of the ladder maps, as dense arrays unless dense=False."""
     L = ladder_superops(n)
     a1, a1d, a2, a2d = L["a1"], L["a1d"], L["a2"], L["a2d"]
-    eye = np.eye(n * n, dtype=complex)
-    return {
+    eye = sparse.eye_array(n * n, dtype=complex, format="csr")
+    gens = {
         "iL0": 0.5j * (a1d @ a1 - a2d @ a2),
         "iM1": 0.25j * (a1d @ a1d + a1 @ a1 - a2d @ a2d - a2 @ a2),
         "iM2": 0.25 * (a1d @ a1d - a1 @ a1 + a2d @ a2d - a2 @ a2),
@@ -75,6 +81,9 @@ def ten_generators(n):
         "L2-": -0.25j * (2 * a1d @ a2 - 2 * a1 @ a2d
                          + a1d @ a1d - a1 @ a1 - a2d @ a2d + a2 @ a2),
     }
+    if dense:
+        return {name: J.toarray() for name, J in gens.items()}
+    return gens
 
 
 def _table():
@@ -139,10 +148,11 @@ class CoefficientVector(NamedTuple):
 
 
 def build_generator(coeffs, gens, n):
-    """Dense matrix of the generic generator for a precomputed ten_generators
-    dict."""
+    """Matrix of the generic generator from a precomputed generator dict,
+    sparse or dense like the dict."""
     c = CoefficientVector(*coeffs)
-    eye = np.eye(n * n, dtype=complex)
+    identity = sparse.eye_array if sparse.issparse(gens["O0"]) else np.eye
+    eye = identity(n * n, dtype=complex)
     return (c.h0 * gens["iL0"] + c.h1 * gens["iM1"] + c.h2 * gens["iM2"]
             + c.g0 * (gens["O0"] - eye / 2)
             + c.gp * gens["O+"] + c.g1 * gens["L1+"] + c.g2 * gens["L2+"])

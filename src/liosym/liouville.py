@@ -18,7 +18,7 @@ the symmetry all physical generators below must satisfy.
 """
 
 import numpy as np
-from scipy.linalg import expm
+from scipy import sparse
 
 
 def vec(rho):
@@ -37,7 +37,9 @@ def swap_indices(n):
 
 
 def make_superoperator(x1, x2):
-    """Matrix of rho -> x1 rho x2."""
+    """Matrix of rho -> x1 rho x2, sparse CSR when a factor is sparse."""
+    if sparse.issparse(x1) or sparse.issparse(x2):
+        return sparse.kron(x1, x2.T, format="csr")
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
     return np.kron(x1, x2.T)
@@ -78,11 +80,6 @@ def is_adjoint_symmetric(X, n, tol=1e-11):
     return adjoint_symmetry_residual(X, n) <= tol
 
 
-def matrix_exponential(X, scale=1.0):
-    """Dense expm(scale * X) (Pade with scaling and squaring)."""
-    return expm(scale * np.asarray(X, dtype=complex))
-
-
 # Identities between truncated operators only hold away from the cutoff:
 # a bilinear moves at most two quanta, and commutators of bilinears involve
 # products that move up to four, so entries with any index within 4 of the
@@ -105,59 +102,19 @@ def safe_block_residual(X, n, margin=SAFE_MARGIN):
 
 
 class SuperOperator:
-    """Dense operator-space map with optional factor-pair provenance.
+    """Sparse operator-space map on n levels.
 
-    mat is the n^2 x n^2 matrix; pairs, when given, is a list of (x1, x2)
-    with X = sum_i x1_i (.) x2_i, kept purely as bookkeeping.
+    csr is the n^2 x n^2 matrix in CSR form.  mat is its dense view, made
+    anew on every access, for dense exponentials and small-cutoff checks.
     """
 
-    def __init__(self, mat, n, pairs=None):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (n * n, n * n):
-            raise ValueError(f"matrix shape {mat.shape} incompatible with n={n}")
-        self.mat = mat
+    def __init__(self, mat, n):
+        csr = sparse.csr_array(mat, dtype=complex)
+        if csr.shape != (n * n, n * n):
+            raise ValueError(f"matrix shape {csr.shape} incompatible with n={n}")
+        self.csr = csr
         self.n = n
-        self.pairs = pairs
 
-    @classmethod
-    def from_pair(cls, x1, x2):
-        n = np.asarray(x1).shape[0]
-        return cls(make_superoperator(x1, x2), n, pairs=[(x1, x2)])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(super_identity(n), n, pairs=[(np.eye(n), np.eye(n))])
-
-    def __matmul__(self, other):
-        if isinstance(other, SuperOperator):
-            return SuperOperator(self.mat @ other.mat, self.n)
-        return self.mat @ other
-
-    def __add__(self, other):
-        return SuperOperator(self.mat + other.mat, self.n)
-
-    def __sub__(self, other):
-        return SuperOperator(self.mat - other.mat, self.n)
-
-    def __mul__(self, c):
-        return SuperOperator(c * self.mat, self.n)
-
-    __rmul__ = __mul__
-
-    def apply(self, rho):
-        return apply_super(self.mat, rho)
-
-    def transpose(self):
-        return SuperOperator(transpose_super(self.mat, self.n), self.n)
-
-    def adjoint(self):
-        return SuperOperator(adjoint_super(self.mat), self.n)
-
-    def associate(self):
-        return SuperOperator(associate_super(self.mat, self.n), self.n)
-
-    def is_adjoint_symmetric(self, tol=1e-11):
-        return is_adjoint_symmetric(self.mat, self.n, tol)
-
-    def expm(self, scale=1.0):
-        return SuperOperator(matrix_exponential(self.mat, scale), self.n)
+    @property
+    def mat(self):
+        return self.csr.toarray()

@@ -19,7 +19,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .fock import momentum, number, position
 from .generators import CoefficientVector, build_generator, ten_generators
@@ -72,9 +74,10 @@ def model_coefficients(p):
 
 
 def model_generator(p, n, gens=None):
-    """Dense generator K for the model at cutoff n, as a SuperOperator."""
+    """Generator K for the model at cutoff n, as a SuperOperator,
+    assembled from the sparse generators unless a generator dict is given."""
     if gens is None:
-        gens = ten_generators(n)
+        gens = ten_generators(n, dense=False)
     return SuperOperator(build_generator(model_coefficients(p), gens, n), n)
 
 
@@ -109,6 +112,7 @@ def evolve(K, rho0, times):
     returned on the trajectory.
     """
     mat, n = _matrix_and_dim(K)
+    mat = _dense(mat)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a nonempty 1-d array")
@@ -172,23 +176,46 @@ def evolve(K, rho0, times):
 def steady_state(K, return_info=False):
     """Stationary density matrix of K from its near-null eigenvector.
 
-    The full spectrum is computed; the kernel must be one-dimensional
-    (within an absolute 1e-8 eigenvalue window, degenerate otherwise).
-    The eigenvector closest to eigenvalue zero is reshaped, hermitized
-    and trace-normalized.  With return_info=True also returns a dict
-    with the kernel eigenvalue, the residual ||K vec(rho)|| and the
-    smallest eigenvalue of rho.
+    The eigenvalues nearest zero come from shift-invert on the sparse K,
+    two at first and twice as many while all lie within an absolute 1e-8
+    of zero; exactly one must, else the kernel is degenerate.  The dense
+    spectrum decides where ARPACK cannot (k >= n^2 - 1, or no converged
+    pair).  The kernel's eigenvector is reshaped, hermitized and
+    trace-normalized.  With return_info=True also returns a dict with the
+    kernel eigenvalue, the residual ||K vec(rho)|| and the smallest
+    eigenvalue of rho.
     """
     mat, n = _matrix_and_dim(K)
-    evals, evecs = np.linalg.eig(mat)
-    order = np.argsort(np.abs(evals))
+    # a fixed start vector keeps the result independent of earlier calls
+    v0 = np.random.default_rng(0).standard_normal(n * n)
+    k = 2
+    evals = None
+    while evals is None and k < n * n - 1:  # ARPACK needs k < N - 1
+        # the shift sits just left of zero, so that a K with an exact null
+        # vector still factorizes; past k = 2 only the count in the window
+        # matters, and a looser tol lets a cluster converge
+        try:
+            evals, evecs = eigs(mat, k=k, sigma=-1e-10, v0=v0,
+                                tol=0 if k == 2 else 1e-10)
+        except ArpackNoConvergence as exc:
+            if k == 2 or len(exc.eigenvalues) == 0:
+                break
+            # the pairs nearest the shift converge first: count those
+            evals, evecs = exc.eigenvalues, exc.eigenvectors
+        if (np.abs(evals) < 1e-8).sum() == k:
+            evals = None
+            k *= 2
+    if evals is None:  # the dense spectrum decides
+        evals, evecs = np.linalg.eig(_dense(mat))
     near_null = np.abs(evals) < 1e-8
     if near_null.sum() != 1:
         raise DegenerateKernelError(
             f"kernel is {near_null.sum()}-dimensional within 1e-8 "
             "(undamped or multiply-damped generator)")
-    v = evecs[:, order[0]]
-    rho = unvec(v, n)
+    nearest = np.argmin(np.abs(evals))
+    rho = unvec(evecs[:, nearest], n)
+    # the solver's eigenvector phase is arbitrary: make the trace real
+    rho = rho * np.exp(-1j * np.angle(np.trace(rho)))
     rho = (rho + rho.conj().T) / 2
     tr = np.trace(rho).real
     if abs(tr) < 1e-12 * np.abs(rho).max():
@@ -198,7 +225,7 @@ def steady_state(K, return_info=False):
     if not return_info:
         return rho
     info = {
-        "eigenvalue": evals[order[0]],
+        "eigenvalue": evals[nearest],
         "residual": float(np.linalg.norm(mat @ vec(rho))),
         "min_eig": float(np.linalg.eigvalsh(rho).min()),
     }
@@ -209,8 +236,7 @@ def stability_abscissa(K):
     """max Re(lambda) over the spectrum of -K: positive values mean the
     truncated propagator grows somewhere (an artifact of cutting off a
     shear generator, seen for d comparable to gamma)."""
-    mat, _ = _matrix_and_dim(K)
-    return float(np.linalg.eigvals(-mat).real.max())
+    return float(np.linalg.eigvals(-_dense(_matrix_and_dim(K)[0])).real.max())
 
 
 def form_invariance(kind, p, params):
@@ -311,9 +337,13 @@ def expectation_invariance_check(seq, o, rho):
 
 def _matrix_and_dim(K):
     if isinstance(K, SuperOperator):
-        return K.mat, K.n
-    mat = np.asarray(K)
+        return K.csr, K.n
+    mat = K if sparse.issparse(K) else np.asarray(K)
     n = math.isqrt(mat.shape[0])
     if n * n != mat.shape[0] or mat.shape[0] != mat.shape[1]:
         raise ValueError("generator must be square with a square dimension")
     return mat, n
+
+
+def _dense(mat):
+    return mat.toarray() if sparse.issparse(mat) else mat

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from .fock import annihilation, vacuum_projector
 from .generators import (CONSERVING, UNITARY, CoefficientVector,
@@ -181,7 +182,8 @@ def gibbs_from_vacuum(alpha, n):
     Populations are (1-q) q^k with q = (e^alpha - 1)/(e^alpha + 1).  The
     raw exponential is not trace-normalized; the normalization factor
     (trace before renormalizing) is returned alongside the state.
-    Warns when the discarded tail q^n is above 1e-12.
+    Warns when the discarded tail q^n is above 1e-12.  The sparse O0
+    acts on the vacuum through expm_multiply, never as a dense matrix.
     """
     if alpha < 0:
         raise ValueError("dilation parameter must be >= 0")
@@ -190,8 +192,8 @@ def gibbs_from_vacuum(alpha, n):
         warnings.warn(
             f"cutoff {n} retains a geometric tail q^n = {q**n:.2e} > 1e-12; "
             "populations will be visibly truncated", stacklevel=2)
-    gens = ten_generators(n)
-    v = expm(alpha * gens["O0"]) @ vec(vacuum_projector(n))
+    O0 = ten_generators(n, dense=False)["O0"]
+    v = expm_multiply(alpha * O0, vec(vacuum_projector(n)))
     rho = v.reshape(n, n)
     rho = (rho + rho.conj().T) / 2
     factor = np.trace(rho).real
@@ -215,8 +217,8 @@ def displacement_superops(z, y, n):
         raise ValueError("displacement amplitude above 2 is not resolvable "
                          "at working cutoffs")
     L = ladder_superops(n)
-    D1 = expm(z * L["a1d"] + np.conj(z) * L["a2d"])
-    D2 = expm(y * L["a1"] + np.conj(y) * L["a2"])
+    D1 = expm((z * L["a1d"] + np.conj(z) * L["a2d"]).toarray())
+    D2 = expm((y * L["a1"] + np.conj(y) * L["a2"]).toarray())
     a = annihilation(n)
     u = expm(z * a.conj().T - np.conj(z) * a)
     D = make_superoperator(u, u.conj().T)
@@ -236,7 +238,7 @@ def displaced_vacuum_terms(c, z, n):
     for K with vacuum-annihilating coefficients c.
 
     X = 1/2 [z (g0 + i h0) + conj(z)(h2 + i h1)] (a2 - a1d), and its
-    association is the conjugate coefficient times (a1 - a2d).
+    association is the conjugate coefficient times (a1 - a2d); both sparse.
     """
     c = CoefficientVector(*c)
     L = ladder_superops(n)

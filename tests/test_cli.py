@@ -214,6 +214,17 @@ def test_steady_flags_the_purity_boundary(tmp_path):
     assert abs(report["gaussian"]["nu"]) <= 1e-9
 
 
+def test_steady_hpz_at_a_large_cutoff(tmp_path):
+    # n = 150: the dense K alone would take 8 GB
+    code, report = run_json(
+        tmp_path, ["steady", "--model", "hpz", "--b", "1", "--d", "0.2",
+                   "--fock-dim", "150"])
+    assert code == 0
+    m = report["moments"]
+    assert abs(m["x2"] - 1.1) <= 1e-8
+    assert abs(m["p2"] - 1.0) <= 1e-8
+
+
 def test_steady_populations_csv(tmp_path):
     pops_path = tmp_path / "pops.csv"
     code, report = run_json(

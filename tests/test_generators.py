@@ -120,3 +120,47 @@ def test_number_conserving_generator_keeps_fock_states_diagonal():
     # iL0 generates phase rotation: diagonal states are fixed points
     out = unvec(gens["iL0"] @ vec(rho), n)
     assert np.abs(out).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_ten_generators_match_an_independent_kron_construction(n):
+    # each bilinear written as a sum of sandwiches x1 rho x2, every one
+    # vectorized as np.kron(x1, x2.T) on its own
+    from liosym.fock import annihilation
+    a = annihilation(n)
+    ad = a.conj().T
+    eye = np.eye(n, dtype=complex)
+
+    def S(*terms):
+        return sum(c * np.kron(x1, x2.T) for c, x1, x2 in terms)
+
+    want = {
+        "iL0": 0.5j * S((1, ad @ a, eye), (-1, eye, ad @ a)),
+        "iM1": 0.25j * S((1, ad @ ad, eye), (1, a @ a, eye),
+                         (-1, eye, a @ a), (-1, eye, ad @ ad)),
+        "iM2": 0.25 * S((1, ad @ ad, eye), (-1, a @ a, eye),
+                        (1, eye, a @ a), (-1, eye, ad @ ad)),
+        "O0": 0.5 * S((1, ad, a), (-1, a, ad)),
+        "O+": 0.5 * S((1, ad, a), (1, a, ad), (-1, ad @ a, eye),
+                      (-1, eye, ad @ a), (-1, eye, eye)),
+        "L1+": 0.25 * S((2, ad, ad), (2, a, a), (-1, ad @ ad, eye),
+                        (-1, a @ a, eye), (-1, eye, a @ a),
+                        (-1, eye, ad @ ad)),
+        "L2+": -0.25j * S((2, ad, ad), (-2, a, a), (-1, ad @ ad, eye),
+                          (1, a @ a, eye), (1, eye, a @ a),
+                          (-1, eye, ad @ ad)),
+        "O-": 0.5 * S((1, ad, a), (1, a, ad), (1, ad @ a, eye),
+                      (1, eye, ad @ a), (1, eye, eye)),
+        "L1-": 0.25 * S((2, ad, ad), (2, a, a), (1, ad @ ad, eye),
+                        (1, a @ a, eye), (1, eye, a @ a),
+                        (1, eye, ad @ ad)),
+        "L2-": -0.25j * S((2, ad, ad), (-2, a, a), (1, ad @ ad, eye),
+                          (-1, a @ a, eye), (-1, eye, a @ a),
+                          (1, eye, ad @ ad)),
+    }
+    gens = ten_generators(n)
+    assert set(gens) == set(want)
+    for name in GENERATOR_NAMES:
+        assert gens[name].shape == (n * n, n * n)
+        assert np.abs(gens[name] - want[name]).max() < 1e-14, name
+

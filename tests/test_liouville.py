@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from liosym.fock import annihilation, random_density
 from liosym.liouville import (SuperOperator, adjoint_super,
                               adjoint_symmetry_residual, apply_super,
                               associate_super, is_adjoint_symmetric,
-                              make_superoperator, matrix_exponential,
+                              make_superoperator,
                               safe_block_residual, safe_indices,
                               super_identity, swap_indices, transpose_super,
                               unvec, vec)
@@ -103,16 +104,6 @@ def test_adjoint_symmetry_iff_hermiticity_preserving():
         assert np.abs(out - out.conj().T).max() > 1e-8
 
 
-def test_matrix_exponential_semigroup_and_scale():
-    X = 0.1 * random_op(9)
-    E = matrix_exponential(X)
-    H = matrix_exponential(X, scale=0.5)
-    assert np.allclose(H @ H, E, atol=1e-12)
-    # first-order agreement with the series
-    small = matrix_exponential(X, scale=1e-6)
-    assert np.allclose(small, np.eye(9) + 1e-6 * X, atol=1e-10)
-
-
 def test_safe_indices_drop_top_levels():
     idx = safe_indices(6, margin=2)
     # pairs (m, n) with both below 4
@@ -130,19 +121,17 @@ def test_safe_block_residual_ignores_edge_junk():
     assert safe_block_residual(X, n) == pytest.approx(1e-3)
 
 
-def test_superoperator_class_algebra():
+def test_superoperator_holds_the_sparse_matrix_and_a_dense_view():
     n = 5
     a = annihilation(n)
-    X = SuperOperator.from_pair(a, a.conj().T)
-    Y = SuperOperator.identity(n)
+    X = make_superoperator(a, a.conj().T)
+    S = SuperOperator(X, n)
+    assert sparse.issparse(S.csr)
+    assert S.csr.nnz == np.count_nonzero(X)
     rho = random_density(n, RNG)
-    assert np.allclose((X @ Y).apply(rho), a @ rho @ a.conj().T, atol=1e-13)
-    Z = 2.0 * X - X
-    assert np.allclose(Z.apply(rho), X.apply(rho), atol=1e-13)
-    assert X.is_adjoint_symmetric()
-    assert np.allclose(X.transpose().apply(rho), a.conj().T @ rho @ a,
+    assert np.allclose(apply_super(S.csr, rho), a @ rho @ a.conj().T,
                        atol=1e-13)
-    assert np.allclose(X.associate().mat, X.mat, atol=1e-13)
+    assert np.array_equal(S.mat, X)
 
 
 def test_superoperator_shape_validation():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from liosym import (
     CoefficientVector,
@@ -30,6 +31,7 @@ from liosym import (
     ten_generators,
     thermal_b,
     thermal_state,
+    vacuum_annihilating_K,
     vacuum_projector,
 )
 
@@ -187,7 +189,7 @@ def test_steady_state_rejects_a_degenerate_kernel():
     n = 6
     K = build_generator(CoefficientVector(2, 0, 0, 0, 0, 0, 0),
                         ten_generators(n), n)
-    with pytest.raises(DegenerateKernelError, match="dimensional"):
+    with pytest.raises(DegenerateKernelError, match="kernel is 6-dim"):
         steady_state(K)
 
 
@@ -312,3 +314,80 @@ def test_expectation_changes_under_a_conserving_step():
     # the number operator happens to be blind to this shear
     before, after = expectation_invariance_check(seq, number(n), rho)
     assert abs(after - before) < 1e-9
+
+
+def test_steady_state_kernel_rule_matches_the_dense_spectrum_on_the_ladder():
+    # the steady --fock-dim ladder's rotation: truncation lifts the null
+    # eigenvalue above the 1e-8 window up to n = 18 and below it from 19
+    outcomes = set()
+    for n in range(12, 21):
+        model = ("HPZ", "KL", "CL")[(n - 12) % 3]
+        w = 0.8 + 0.05 * (n - 12)
+        p = ModelParams(model, w, 0.4, 1.0, 0.3 if model == "HPZ" else 0.0)
+        K = model_generator(p, n)
+        evals, evecs = np.linalg.eig(K.mat)
+        near_null = np.abs(evals) < 1e-8
+        if near_null.sum() != 1:
+            with pytest.raises(DegenerateKernelError,
+                               match=f"kernel is {near_null.sum()}-dim"):
+                steady_state(K)
+            outcomes.add("degenerate")
+            continue
+        rho = steady_state(K)
+        dense = evecs[:, np.argmin(np.abs(evals))].reshape(n, n)
+        dense = (dense + dense.conj().T) / 2
+        dense /= np.trace(dense).real
+        assert np.abs(rho - dense).max() < 1e-10, n
+        outcomes.add("state")
+    assert outcomes == {"degenerate", "state"}
+
+
+def test_steady_state_with_an_exact_null_vector():
+    # K vec(rho) = 0 exactly: a shift of zero would make K singular
+    n = 24
+    K = model_generator(ModelParams("CL", 1.0, 0.4, 0.5), n)
+    rho = steady_state(K)
+    assert np.abs(rho - vacuum_projector(n)).max() < 1e-10
+    c = vacuum_annihilating_K(0.8, 0.5, 0.3, -0.2)
+    K = build_generator(c, ten_generators(n, dense=False), n)
+    rho, info = steady_state(K, return_info=True)
+    assert np.abs(rho - vacuum_projector(n)).max() < 1e-12
+    assert info["residual"] < 1e-13
+
+
+def test_steady_state_at_the_smallest_cutoffs():
+    # at n = 1 the shift-invert solver cannot take k = 2 (it needs
+    # k < n^2 - 1); the dense spectrum decides there
+    for n in (1, 2, 3):
+        rho = steady_state(model_generator(ModelParams("KL", 1.0, 0.4, 0.5),
+                                           n))
+        assert np.abs(rho - vacuum_projector(n)).max() < 1e-12
+        with pytest.raises(DegenerateKernelError, match="0-dimensional"):
+            steady_state(model_generator(ModelParams("KL", 1.0, 0.4, 1.0), n))
+
+
+def test_steady_state_falls_back_to_the_dense_spectrum(monkeypatch):
+    # when ARPACK returns no converged pair, the dense spectrum decides,
+    # so a solver failure is never reported as a 0-dimensional kernel
+    def no_pairs(mat, k, **kw):
+        raise ArpackNoConvergence("no convergence", np.empty(0),
+                                         np.empty((mat.shape[0], 0)))
+
+    n = 12
+    K = model_generator(ModelParams("CL", 1.0, 0.4, 0.5), n)
+    monkeypatch.setattr(models, "eigs", no_pairs)
+    assert np.abs(steady_state(K) - vacuum_projector(n)).max() < 1e-12
+    rotation = build_generator(CoefficientVector(2.0, 0, 0, 0, 0, 0, 0),
+                               ten_generators(6, dense=False), 6)
+    with pytest.raises(DegenerateKernelError, match="kernel is 6-dim"):
+        steady_state(rotation)
+
+
+def test_model_generator_is_sparse_with_a_dense_view():
+    n = 12
+    K = model_generator(ModelParams("HPZ", 1.0, 0.4, 1.0, 0.3), n)
+    assert K.n == n
+    assert K.csr.nnz < 0.1 * (n * n) ** 2
+    dense = model_generator(ModelParams("HPZ", 1.0, 0.4, 1.0, 0.3), n,
+                            ten_generators(n))
+    assert np.array_equal(K.mat, dense.mat)

@@ -254,3 +254,17 @@ def test_diagonalize_frequency_example():
 def test_diagonalize_frequency_rejects_degenerate():
     with pytest.raises(ValueError):
         diagonalize_frequency(1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+def test_gibbs_from_vacuum_matches_the_dense_literal_route(alpha):
+    n = 24
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the q^n tail warning at 0.9
+        rho, factor = gibbs_from_vacuum(alpha, n)
+    v = expm(alpha * ten_generators(n)["O0"]) @ vec(vacuum_projector(n))
+    want = unvec(v, n)
+    want = (want + want.conj().T) / 2
+    want_factor = np.trace(want).real
+    assert abs(factor - want_factor) < 1e-14
+    assert np.abs(rho - want / want_factor).max() < 1e-14
