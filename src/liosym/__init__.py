@@ -15,6 +15,8 @@ The package is organized bottom-up:
               states, form invariance, cross-model maps
   gaussian    stationary Gaussians, positivity, transformation domains,
               position-space residuals
+  checks      the identity suite of `liosym verify`, one ordered table of
+              check groups on one sparse generator set
   cli         command-line front end (liosym verify | evolve | map |
               domain | steady)
 """
@@ -25,16 +27,14 @@ from .fock import (annihilation, coherent_projector, creation,
 from .fourdim import REP, SYMPLECTIC_FORM
 from .gaussian import (GaussianParams, StationaryGaussian, domain_bound,
                        fock_from_gaussian, gaussian_from_bd, hermite_psi,
-                       is_positive, kernel_hermiticity_residual,
-                       numeric_positivity_boundary, position_rep_residual,
-                       positivity_boundary, transformed_gaussian,
-                       uncertainty_product)
+                       is_positive, numeric_positivity_boundary,
+                       position_rep_residual, positivity_boundary,
+                       transformed_gaussian, uncertainty_product)
 from .generators import (COMMUTATION_TABLE, CONSERVING, GENERATOR_NAMES,
                          NONCONSERVING, UNITARY, CoefficientVector,
                          build_generator, ladder_superops, ten_generators)
 from .liouville import (SuperOperator, adjoint_super, associate_super,
-                        is_adjoint_symmetric, make_superoperator,
-                        transpose_super, unvec, vec)
+                        make_superoperator, transpose_super, unvec, vec)
 from .models import (DegenerateKernelError, ModelParams, Trajectory, evolve,
                      expectation_invariance_check, form_invariance,
                      map_cl_to_hpz, map_kl_to_cl, model_coefficients,

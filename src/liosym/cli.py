@@ -3,7 +3,8 @@
 Subcommands:
 
   verify   identity suite (commutation tables, adjoint symmetry,
-           symplectic condition, trace identities, coefficient maps)
+           symplectic condition, trace identities, coefficient maps),
+           the ordered table of checks.SUITE
   evolve   trajectory CSV for one of the three models
   map      cross-model maps and form-invariance transformations
   domain   closed-form and numeric positivity bounds
@@ -23,18 +24,14 @@ import json
 import sys
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fourdim, gaussian
-from .fock import coherent_projector, fock_projector, random_density
-from .generators import (COMMUTATION_TABLE, CONSERVING, GENERATOR_NAMES,
-                         UNITARY, build_generator, commutation_residuals,
-                         ten_generators, trace_residuals)
-from .liouville import adjoint_symmetry_residual, safe_block_residual
+from .checks import SUITE
+from .fock import coherent_projector, fock_projector
+from .generators import ten_generators
 from .models import (DegenerateKernelError, ModelParams, evolve,
                      model_coefficients, model_generator, steady_state)
-from .transforms import (TransformSequence, apply_sequence, coefficient_map,
-                         derivative_map, gibbs_from_vacuum)
+from .transforms import apply_sequence, gibbs_from_vacuum
 
 DEFAULT_SEED = 20240915
 
@@ -64,13 +61,6 @@ def _emit_json(obj, path):
     _write(json.dumps(_sig(obj), indent=2) + "\n", path)
 
 
-def _check(name, residual, threshold, must_exceed=False):
-    residual = float(residual)
-    ok = residual > threshold if must_exceed else residual <= threshold
-    return {"check": name, "residual": residual, "threshold": threshold,
-            "pass": bool(ok)}
-
-
 # ------------------------------------------------------------------ verify
 def cmd_verify(args):
     n, tol = args.fock_dim, args.tol
@@ -78,79 +68,11 @@ def cmd_verify(args):
         raise ValueError("fock-dim must be at least 8 for the safe-block "
                          "identity checks")
     rng = np.random.default_rng(args.seed)
-    gens = ten_generators(n)
-    checks = []
-
-    checks.append(_check("table-4d", fourdim.table_residual(), 1e-13))
-
-    pair_res = commutation_residuals(n, gens=gens)
-    for i, x in enumerate(GENERATOR_NAMES):
-        for y in GENERATOR_NAMES[i + 1:]:
-            entry = COMMUTATION_TABLE[x][y]
-            target = "0" if entry is None else (
-                entry[1] if entry[0] == 1 else f"{entry[0]:g}*{entry[1]}")
-            checks.append(_check(f"commutator[{x},{y}]={target}",
-                                 pair_res[(x, y)], tol))
-
-    for name in GENERATOR_NAMES:
-        checks.append(_check(f"adjoint-symmetry[{name}]",
-                             adjoint_symmetry_residual(gens[name], n), 1e-11))
-    for name in UNITARY + CONSERVING:
-        E = expm(0.5 * gens[name])
-        checks.append(_check(f"adjoint-symmetry[exp(0.5*{name})]",
-                             adjoint_symmetry_residual(E, n), 1e-11))
-    E = expm(0.5j * gens["O+"])
-    checks.append(_check("non-symmetry[exp(0.5i*O+)]",
-                         adjoint_symmetry_residual(E, n), 1e-6,
-                         must_exceed=True))
-
-    for theta in (0.3, 1.0):
-        for name in GENERATOR_NAMES:
-            S = expm(theta * fourdim.REP[name])
-            checks.append(_check(f"symplectic[{name},theta={theta}]",
-                                 fourdim.symplectic_residual(S), 1e-12))
-    checks.append(_check("completeness", fourdim.completeness_residual(),
-                         1e-14))
-    checks.append(_check("orthogonality", fourdim.orthogonality_residual(),
-                         1e-14))
-    checks.append(_check("ladder-action", fourdim.ladder_action_residual(n),
-                         tol))
-
-    worst = {name: 0.0 for name in GENERATOR_NAMES}
-    for _ in range(20):
-        rho = random_density(n, rng, support=n - 4)
-        for name, r in trace_residuals(rho, gens, n).items():
-            worst[name] = max(worst[name], r)
-    for name in GENERATOR_NAMES:
-        kind = "trace-moment" if name.endswith("-") else "trace-conserving"
-        checks.append(_check(f"{kind}[{name}]", worst[name], tol))
-
-    # coefficient maps: exact finite-parameter check in the 4x4
-    # representation, first-order commutator check on the Fock matrices
-    worst4 = {name: 0.0 for name in UNITARY + CONSERVING}
-    for _ in range(20):
-        c = tuple(rng.uniform(-1, 1, 7))
-        for name in UNITARY + CONSERVING:
-            p = float(rng.uniform(-1, 1))
-            step = TransformSequence([(name, p)]).steps[0]
-            S = expm(p * fourdim.REP[name])
-            lhs = S @ fourdim.rep_of_coefficients(c) @ np.linalg.inv(S)
-            rhs = fourdim.rep_of_coefficients(coefficient_map(step, c))
-            worst4[name] = max(worst4[name], np.abs(lhs - rhs).max())
-    for name in UNITARY + CONSERVING:
-        checks.append(_check(f"coefficient-map-4d[{name}]", worst4[name],
-                             1e-12))
-
-    for name in UNITARY + CONSERVING:
-        c = tuple(rng.uniform(-1, 1, 7))
-        K = build_generator(c, gens, n)
-        # the scalar part of K commutes, and the derivative map never
-        # moves g0, so the bracket closes on the ten-generator span
-        lhs = gens[name] @ K - K @ gens[name]
-        rhs = build_generator(derivative_map(name, c), gens, n)
-        checks.append(_check(f"coefficient-map-rate[{name}]",
-                             safe_block_residual(lhs - rhs, n), tol))
-
+    gens = ten_generators(n, dense=False)
+    checks = [{"check": name, "residual": float(res), "threshold": thr,
+               "pass": bool(res > thr if must_exceed else res <= thr)}
+              for group in SUITE
+              for name, res, thr, must_exceed in group(n, tol, rng, gens)]
     failed = [c for c in checks if not c["pass"]]
     report = {
         "fock_dim": n, "tol": tol, "seed": args.seed,
@@ -214,11 +136,9 @@ def _params_dict(p):
 
 
 def _map_report(p, p2, seq):
-    S = seq.rep4()
-    Sinv = seq.inverse().rep4()
-    lhs = S @ fourdim.rep_of_coefficients(model_coefficients(p)) @ Sinv
-    rhs = fourdim.rep_of_coefficients(model_coefficients(p2))
-    residual = float(np.abs(lhs - rhs).max())
+    residual = fourdim.conjugation_residual(
+        seq.rep4(), seq.inverse().rep4(), model_coefficients(p),
+        model_coefficients(p2))
     flow = apply_sequence(seq, model_coefficients(p))
     flow_res = float(max(abs(a - b) for a, b in
                          zip(flow, model_coefficients(p2))))

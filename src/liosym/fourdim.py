@@ -15,7 +15,7 @@ symplectic.
 
 import numpy as np
 
-from .generators import GENERATOR_NAMES, UNITARY, COMMUTATION_TABLE
+from .generators import GENERATOR_NAMES, UNITARY, commutator_defect
 
 _s1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -57,16 +57,15 @@ def rep_of_coefficients(coeffs):
 def table_residual():
     """Worst |[R(A), R(B)] - table| over all ordered pairs (exact algebra,
     should be ~0)."""
-    worst = 0.0
-    for x in GENERATOR_NAMES:
-        for y in GENERATOR_NAMES:
-            comm = REP[x] @ REP[y] - REP[y] @ REP[x]
-            entry = COMMUTATION_TABLE[x][y]
-            if entry is not None:
-                coeff, name = entry
-                comm = comm - coeff * REP[name]
-            worst = max(worst, np.abs(comm).max())
-    return worst
+    return max(np.abs(commutator_defect(REP, x, y)).max()
+               for x in GENERATOR_NAMES for y in GENERATOR_NAMES)
+
+
+def conjugation_residual(S, S_inv, c, c_new):
+    """max |S R(c) S^-1 - R(c_new)|: how far the coefficient map c -> c_new
+    is from conjugation by S."""
+    lhs = S @ rep_of_coefficients(c) @ S_inv
+    return float(np.abs(lhs - rep_of_coefficients(c_new)).max())
 
 
 def symplectic_residual(S):
@@ -96,31 +95,20 @@ def orthogonality_residual():
     return worst
 
 
-def decompose(M):
-    """Coefficients of M on the ten-generator basis via the trace pairing,
-    plus the reconstruction residual (nonzero iff M leaves the algebra)."""
-    coeffs = {}
-    recon = np.zeros((4, 4), dtype=complex)
-    for name in GENERATOR_NAMES:
-        c_norm = 1.0 if name in UNITARY else 2.0
-        c = np.trace(REP[name].conj().T @ M) / c_norm
-        coeffs[name] = c
-        recon = recon + c * REP[name]
-    return coeffs, np.abs(recon - M).max()
-
-
-def ladder_action_residual(n, margin=4):
+def ladder_action_residual(n, gens=None):
     """Check [J, X_i] = -sum_j R(J)_ij X_j on the truncated ladder maps,
-    measured on the safe block."""
+    measured on the safe block.  gens is the generator set to check,
+    sparse or dense; the sparse set is built when it is not given."""
     from .generators import ladder_superops, ten_generators
     from .liouville import safe_block_residual
+    if gens is None:
+        gens = ten_generators(n, dense=False)
     L = ladder_superops(n)
     X = [L["a1"], L["a2"], L["a1d"], L["a2d"]]
-    gens = ten_generators(n)
     worst = 0.0
     for name in GENERATOR_NAMES:
         for i in range(4):
             lhs = gens[name] @ X[i] - X[i] @ gens[name]
             rhs = -sum(REP[name][i, j] * X[j] for j in range(4))
-            worst = max(worst, safe_block_residual(lhs - rhs, n, margin))
+            worst = max(worst, safe_block_residual(lhs - rhs, n))
     return worst

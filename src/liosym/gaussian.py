@@ -30,6 +30,13 @@ import numpy as np
 
 POSITIVITY_SLACK = 1e-12
 
+QUAD_HALF_WIDTH, QUAD_NPTS = 12.0, 601  # fock_from_gaussian's grid
+SCAN_TOL = 1e-4  # numeric_positivity_boundary's accuracy in the parameter
+# Reconstructed states inside the positive domain carry O(1e-15) negative
+# roundoff, so "positive" means min-eig > -EIG_FLOOR; the located root
+# shifts by EIG_FLOOR/slope, negligible against SCAN_TOL.
+EIG_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -90,19 +97,6 @@ def uncertainty_product(s):
     return s.b * (s.b + s.d / (2 * s.omega0))
 
 
-def kernel_hermiticity_residual(g, q, r):
-    """max |rho*(Q,-r) - rho(Q,r)| over the grid, for the kernel with
-    parameters g.  Zero for every real (mu, kappa, nu): hermiticity of
-    the operator is built into the kernel form."""
-    Q, R = np.meshgrid(np.asarray(q), np.asarray(r), indexing="ij")
-
-    def kernel(Q, R):
-        return np.exp(-2 * g.mu * Q ** 2 - 1j * g.kappa * Q * R
-                      - (g.mu + g.nu) * R ** 2 / 2)
-
-    return float(np.abs(np.conj(kernel(Q, -R)) - kernel(Q, R)).max())
-
-
 # ------------------------------------------------------------- Fock route
 def hermite_psi(nmax, x):
     """Oscillator eigenfunctions psi_0 .. psi_{nmax-1} on the grid x,
@@ -118,7 +112,7 @@ def hermite_psi(nmax, x):
     return psi
 
 
-def fock_from_gaussian(s, n, half_width=12.0, npts=601):
+def fock_from_gaussian(s, n):
     """Fock-basis matrix of the stationary Gaussian by grid quadrature.
 
     rho_mn = integral psi_m(x) rho(x, xt) psi_n(xt) dx dxt.  The exponent
@@ -134,7 +128,7 @@ def fock_from_gaussian(s, n, half_width=12.0, npts=601):
     if w <= 0 or s.b <= 0:
         raise ValueError(f"non-normalizable kernel: w = {w:.6g}, "
                          f"b = {s.b:.6g} (both must be positive)")
-    x = np.linspace(-half_width, half_width, npts)
+    x = np.linspace(-QUAD_HALF_WIDTH, QUAD_HALF_WIDTH, QUAD_NPTS)
     dx = x[1] - x[0]
     ax2 = (1 / (4 * w) + s.b / 2) * x * x
     G = np.multiply.outer((s.b - 1 / (2 * w)) * x, x)
@@ -246,7 +240,7 @@ def transformed_gaussian(kind, s, p, phi=0.0):
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def numeric_positivity_boundary(state_fn, lo, hi, tol=1e-4, floor=1e-12):
+def numeric_positivity_boundary(state_fn, lo, hi):
     """Bisect the scan parameter for the sign change of the smallest
     eigenvalue of state_fn(p), the transformed, renormalized state.
 
@@ -255,23 +249,18 @@ def numeric_positivity_boundary(state_fn, lo, hi, tol=1e-4, floor=1e-12):
     truncated generator: shear steps amplify the truncation tails wildly,
     and even the diagonal O0 dilation, applied literally, turns the
     truncated state negative at both ends of the bracket once b >= 1.5.
-    Accuracy tol in the parameter; raises if min-eig has the same sign
-    at both ends.
-
-    floor is the noise allowance on the eigenvalue: reconstructed states
-    inside the positive domain carry O(1e-15) negative roundoff, so
-    "positive" means min-eig > -floor.  The located root shifts by
-    floor/slope, negligible against tol.
+    Accuracy SCAN_TOL in the parameter; raises if min-eig has the same
+    sign at both ends.
     """
     def positive(p):
-        return float(np.linalg.eigvalsh(state_fn(p)).min()) > -floor
+        return float(np.linalg.eigvalsh(state_fn(p)).min()) > -EIG_FLOOR
 
     s_lo, s_hi = positive(lo), positive(hi)
     if s_lo == s_hi:
         raise ValueError(
             f"no sign change in range [{lo}, {hi}]: min-eig "
             f"{'positive' if s_lo else 'negative'} at both ends")
-    while hi - lo > tol:
+    while hi - lo > SCAN_TOL:
         mid = (lo + hi) / 2
         if positive(mid) == s_lo:
             lo = mid
@@ -280,7 +269,7 @@ def numeric_positivity_boundary(state_fn, lo, hi, tol=1e-4, floor=1e-12):
     return (lo + hi) / 2
 
 
-def positivity_boundary(kind, s, n=30, phi=0.0, tol=1e-4, bracket=None):
+def positivity_boundary(kind, s, n=30, phi=0.0, bracket=None):
     """Numeric positivity boundary for one of the five families.
 
     Every family goes through the same route: the parameter flow gives
@@ -307,8 +296,7 @@ def positivity_boundary(kind, s, n=30, phi=0.0, tol=1e-4, bracket=None):
     def state_fn(p):
         return fock_from_gaussian(transformed_gaussian(kind, s, p, phi), n)
 
-    return numeric_positivity_boundary(state_fn, bracket[0], bracket[1],
-                                       tol=tol)
+    return numeric_positivity_boundary(state_fn, bracket[0], bracket[1])
 
 
 # ---------------------------------------------------- position-space check

@@ -26,7 +26,8 @@ Only UNITARY + CONSERVING may appear in physical generators and symmetry
 transformations; the NONCONSERVING three complete the algebra.
 
 The ten are built sparse, from sparse ladder krons; ten_generators returns
-dense views (for dense exponentials and the identity checks) by default.
+dense views (for dense exponentials) by default.  The identity checks
+below take either form.
 """
 
 from typing import NamedTuple
@@ -158,26 +159,32 @@ def build_generator(coeffs, gens, n):
             + c.gp * gens["O+"] + c.g1 * gens["L1+"] + c.g2 * gens["L2+"])
 
 
-def commutation_residuals(n, margin=4, gens=None):
-    """Max residual of [A, B] against COMMUTATION_TABLE for every ordered
-    pair, measured on the safe block (indices below n - margin)."""
+def commutator_defect(gens, x, y):
+    """[x, y] minus its COMMUTATION_TABLE entry, for the ten matrices gens
+    of any representation."""
+    comm = gens[x] @ gens[y] - gens[y] @ gens[x]
+    entry = COMMUTATION_TABLE[x][y]
+    if entry is not None:
+        coeff, name = entry
+        comm = comm - coeff * gens[name]
+    return comm
+
+
+def commutation_residuals(n, gens=None):
+    """Max residual of [A, B] against COMMUTATION_TABLE for every pair with
+    A before B in GENERATOR_NAMES, measured on the safe block.  [B, A] =
+    -[A, B] and the table is antisymmetric, so the other pairs repeat
+    these.  Builds the sparse set when gens is not given."""
     from .liouville import safe_block_residual
     if gens is None:
-        gens = ten_generators(n)
-    out = {}
-    for x in GENERATOR_NAMES:
-        for y in GENERATOR_NAMES:
-            comm = gens[x] @ gens[y] - gens[y] @ gens[x]
-            entry = COMMUTATION_TABLE[x][y]
-            if entry is not None:
-                coeff, name = entry
-                comm = comm - coeff * gens[name]
-            out[(x, y)] = safe_block_residual(comm, n, margin)
-    return out
+        gens = ten_generators(n, dense=False)
+    return {(x, y): safe_block_residual(commutator_defect(gens, x, y), n)
+            for i, x in enumerate(GENERATOR_NAMES)
+            for y in GENERATOR_NAMES[i + 1:]}
 
 
 def trace_residuals(rho, gens, n):
-    """Residuals of the trace identities.
+    """Residuals of the trace identities, for a sparse or dense gens.
 
     The seven conserving directions give tr(J rho) = 0 (with O0 shifted by
     -1/2); the three others reproduce second moments (see trace_moment).
@@ -186,14 +193,14 @@ def trace_residuals(rho, gens, n):
     """
     from .liouville import unvec, vec
     v = vec(rho)
-    eye = np.eye(n * n, dtype=complex)
     out = {}
-    for name in UNITARY + CONSERVING:
-        J = gens[name] - eye / 2 if name == "O0" else gens[name]
-        out[name] = abs(np.trace(unvec(J @ v, n)))
-    for name in NONCONSERVING:
-        lhs = np.trace(unvec(gens[name] @ v, n))
-        out[name] = abs(lhs - trace_moment(name, rho))
+    for name in GENERATOR_NAMES:
+        tr = np.trace(unvec(gens[name] @ v, n))
+        if name == "O0":
+            tr = tr - np.trace(rho) / 2
+        elif name in NONCONSERVING:
+            tr = tr - trace_moment(name, rho)
+        out[name] = abs(tr)
     return out
 
 

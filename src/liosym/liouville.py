@@ -72,12 +72,8 @@ def associate_super(X, n):
 
 
 def adjoint_symmetry_residual(X, n):
-    return np.abs(associate_super(X, n) - X).max()
-
-
-def is_adjoint_symmetric(X, n, tol=1e-11):
-    """True when X preserves hermiticity, i.e. assoc(X) = X within tol."""
-    return adjoint_symmetry_residual(X, n) <= tol
+    """Max |assoc(X) - X|, for a dense or sparse X."""
+    return abs(associate_super(X, n) - X).max()
 
 
 # Identities between truncated operators only hold away from the cutoff:
@@ -96,9 +92,10 @@ def safe_indices(n, margin=SAFE_MARGIN):
 
 
 def safe_block_residual(X, n, margin=SAFE_MARGIN):
-    """Max |entry| of a superoperator over the safe index block."""
+    """Max |entry| of a dense or sparse superoperator over the safe
+    index block."""
     idx = safe_indices(n, margin)
-    return np.abs(X[np.ix_(idx, idx)]).max()
+    return abs(X[np.ix_(idx, idx)]).max()
 
 
 class SuperOperator:

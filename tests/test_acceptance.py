@@ -6,6 +6,7 @@ with -v (test names give the per-criterion verdict) or -s to see the
 printed lines inline.
 """
 
+import functools
 import math
 import time
 
@@ -34,23 +35,12 @@ from liosym import (
     superop_similarity,
     ten_generators,
 )
-from liosym.fourdim import (
-    REP,
-    completeness_residual,
-    orthogonality_residual,
-    rep_of_coefficients,
-    symplectic_residual,
-    table_residual,
-)
-from liosym.generators import (
-    CONSERVING,
-    GENERATOR_NAMES,
-    UNITARY,
-    commutation_residuals,
-    trace_residuals,
-)
+from liosym.checks import SUITE
+from liosym.cli import DEFAULT_SEED
+from liosym.fourdim import REP, conjugation_residual
+from liosym.generators import (CONSERVING, GENERATOR_NAMES, UNITARY,
+                               trace_residuals)
 from liosym.liouville import adjoint_symmetry_residual, safe_block_residual, vec
-from liosym.transforms import derivative_map
 
 J0_AND_JPLUS = UNITARY + CONSERVING
 
@@ -60,35 +50,52 @@ def report(k, ok, detail):
     assert ok, detail
 
 
+@functools.lru_cache(maxsize=None)
+def suite(n):
+    """Residual and seconds of each check of the verify suite at cutoff n
+    (tol 1e-10, the default seed), by name."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    gens = ten_generators(n, dense=False)
+    out, t0 = {}, time.time()
+    for group in SUITE:
+        for name, residual, _, _ in group(n, 1e-10, rng, gens):
+            out[name] = (residual, time.time() - t0)
+            t0 = time.time()
+    return out
+
+
+def worst(n, prefix):
+    """Largest residual and summed seconds of the checks named prefix*."""
+    got = [v for name, v in suite(n).items() if name.startswith(prefix)]
+    return max(r for r, _ in got), sum(dt for _, dt in got)
+
+
 def test_criterion_01_commutation_table_exact_representation():
-    t0 = time.time()
-    res = table_residual()
-    ok = res <= 1e-13 and time.time() - t0 < 1.0
+    res, dt = worst(8, "table-4d")
+    ok = res <= 1e-13 and dt < 1.0
     report(1, ok, f"4x4 table residual {res:.2e} <= 1e-13")
 
 
 def test_criterion_02_commutation_table_fock_space():
-    t0 = time.time()
-    res = max(commutation_residuals(12).values())
-    dt = time.time() - t0
+    res, dt = worst(12, "commutator[")
     ok = res <= 1e-10 and dt < 10.0
-    report(2, ok, f"Fock table at N=12, worst pair {res:.2e} <= 1e-10, "
-                  f"{dt:.1f}s")
+    report(2, ok, f"Fock table at N=12, worst of 45 pairs {res:.2e} "
+                  f"<= 1e-10, {dt:.1f}s")
 
 
 def test_criterion_03_adjoint_symmetry():
     n = 8
+    worst_gen = max(worst(n, f"adjoint-symmetry[{x}]")[0]
+                    for x in GENERATOR_NAMES)
     gens = ten_generators(n)
-    worst = max(adjoint_symmetry_residual(gens[x], n)
-                for x in GENERATOR_NAMES)
     worst_exp = 0.0
     for name in J0_AND_JPLUS:
         for a in (0.5, -0.5, 1.0, -1.0):
             worst_exp = max(worst_exp, adjoint_symmetry_residual(
                 expm(a * gens[name]), n))
     counter = adjoint_symmetry_residual(expm(0.5j * gens["O+"]), n)
-    ok = worst <= 1e-11 and worst_exp <= 1e-11 and counter > 1e-6
-    report(3, ok, f"generators {worst:.2e}, exponentials {worst_exp:.2e} "
+    ok = worst_gen <= 1e-11 and worst_exp <= 1e-11 and counter > 1e-6
+    report(3, ok, f"generators {worst_gen:.2e}, exponentials {worst_exp:.2e} "
                   f"<= 1e-11; exp(0.5i O+) breaks it at {counter:.2e}")
 
 
@@ -126,22 +133,15 @@ def test_criterion_05_coefficient_map_oracle_suite():
         c = tuple(rng.uniform(-1, 1, 7))
         for name in J0_AND_JPLUS:
             p = float(rng.uniform(-1, 1))
-            seq = TransformSequence([(name, p)])
+            step = TransformSequence([(name, p)]).steps[0]
             S = expm(p * REP[name])
-            lhs = S @ rep_of_coefficients(c) @ np.linalg.inv(S)
-            rhs = rep_of_coefficients(coefficient_map(seq.steps[0], c))
-            worst4 = max(worst4, float(np.abs(lhs - rhs).max()))
+            worst4 = max(worst4, conjugation_residual(
+                S, np.linalg.inv(S), c, coefficient_map(step, c)))
 
     n = 14
-    gens = ten_generators(n)
-    worst_rate = 0.0
-    for name in J0_AND_JPLUS:
-        c = tuple(rng.uniform(-1, 1, 7))
-        K = build_generator(c, gens, n)
-        lhs = gens[name] @ K - K @ gens[name]
-        rhs = build_generator(derivative_map(name, c), gens, n)
-        worst_rate = max(worst_rate, safe_block_residual(lhs - rhs, n))
+    worst_rate = worst(n, "coefficient-map-rate[")[0]
 
+    gens = ten_generators(n)
     c = tuple(rng.uniform(-1, 1, 7))
     K = build_generator(c, gens, n)
     seq = TransformSequence([("iL0", 0.8)])
@@ -177,14 +177,11 @@ def test_criterion_05_coefficient_map_oracle_suite():
 
 
 def test_criterion_06_symplectic_condition():
-    worst = 0.0
-    for theta in (0.3, 1.0):
-        for name in GENERATOR_NAMES:
-            worst = max(worst, symplectic_residual(expm(theta * REP[name])))
-    comp = completeness_residual()
-    orth = orthogonality_residual()
-    ok = worst <= 1e-12 and comp <= 1e-14 and orth <= 1e-14
-    report(6, ok, f"exp(theta J) symplectic {worst:.2e} <= 1e-12; "
+    symp = worst(8, "symplectic[")[0]
+    comp = worst(8, "completeness")[0]
+    orth = worst(8, "orthogonality")[0]
+    ok = symp <= 1e-12 and comp <= 1e-14 and orth <= 1e-14
+    report(6, ok, f"exp(theta J) symplectic {symp:.2e} <= 1e-12; "
                   f"completeness {comp:.2e}, orthogonality {orth:.2e} "
                   f"<= 1e-14")
 
@@ -227,10 +224,9 @@ def test_criterion_08_cross_model_maps():
                     abs(new.gamma - 0.6))
 
     def conj_residual(src, dst, seq):
-        S, Sinv = seq.rep4(), seq.inverse().rep4()
-        lhs = S @ rep_of_coefficients(model_coefficients(src)) @ Sinv
-        rhs = rep_of_coefficients(model_coefficients(dst))
-        return float(np.abs(lhs - rhs).max())
+        return conjugation_residual(seq.rep4(), seq.inverse().rep4(),
+                                    model_coefficients(src),
+                                    model_coefficients(dst))
 
     res_klcl = conj_residual(p, new, seq)
 

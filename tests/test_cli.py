@@ -8,9 +8,11 @@ it writes, including the exit-code contract (0 ok, 1 failed checks,
 import csv
 import json
 import math
+import sys
 
 import pytest
 
+import liosym.generators
 from liosym.cli import main
 
 
@@ -43,6 +45,37 @@ def test_verify_passes_and_reports_every_check(tmp_path):
     non = next(c for c in report["checks"]
                if c["check"].startswith("non-symmetry"))
     assert non["residual"] > non["threshold"]
+
+
+def test_verify_passes_at_a_cutoff_of_20(tmp_path):
+    # exp(0.5 L1+) has entries near 1e5 at n = 20; its symmetry residual is
+    # measured relative to them, and the counterexample must stay far out
+    code, report = run_json(tmp_path, ["verify", "--fock-dim", "20"])
+    assert code == 0
+    assert report["failed"] == 0
+    assert all(c["pass"] for c in report["checks"])
+    exp_threshold = max(c["threshold"] for c in report["checks"]
+                        if c["check"].startswith("adjoint-symmetry[exp("))
+    non = next(c for c in report["checks"]
+               if c["check"] == "non-symmetry[exp(0.5i*O+)]")
+    assert non["residual"] > 1e10 * exp_threshold
+
+
+def test_verify_builds_the_generator_set_once(tmp_path, monkeypatch):
+    original = liosym.generators.ten_generators
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "liosym"
+                and getattr(mod, "ten_generators", None) is original):
+            monkeypatch.setattr(mod, "ten_generators", counted)
+    code, _ = run_json(tmp_path, ["verify", "--fock-dim", "10"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_rejects_a_tiny_cutoff(tmp_path):

@@ -3,12 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from liosym.fourdim import (REP, SYMPLECTIC_FORM, completeness_residual,
-                            decompose, ladder_action_residual,
+                            ladder_action_residual,
                             orthogonality_residual, rep_of_coefficients,
                             symplectic_residual, table_residual)
 from liosym.generators import GENERATOR_NAMES, UNITARY
-
-RNG = np.random.default_rng(23)
 
 
 def test_table_closes_exactly():
@@ -33,21 +31,6 @@ def test_generators_are_hamiltonian_matrices():
 def test_completeness_and_orthogonality():
     assert completeness_residual() < 1e-14
     assert orthogonality_residual() < 1e-14
-
-
-def test_decompose_roundtrip():
-    c = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
-    M = sum(ci * REP[name] for ci, name in zip(c, GENERATOR_NAMES))
-    coeffs, residual = decompose(M)
-    assert residual < 1e-13
-    for ci, name in zip(c, GENERATOR_NAMES):
-        assert abs(coeffs[name] - ci) < 1e-13
-
-
-def test_decompose_flags_outside_matrices():
-    M = np.eye(4, dtype=complex)  # the identity is not in the algebra
-    _, residual = decompose(M)
-    assert residual > 0.1
 
 
 def test_rep_of_coefficients_drops_the_scalar():

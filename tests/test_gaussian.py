@@ -8,7 +8,6 @@ import pytest
 from scipy.linalg import expm
 
 from liosym import (
-    GaussianParams,
     ModelParams,
     StationaryGaussian,
     domain_bound,
@@ -17,7 +16,6 @@ from liosym import (
     gaussian_from_bd,
     hermite_psi,
     is_positive,
-    kernel_hermiticity_residual,
     map_cl_to_hpz,
     map_kl_to_cl,
     model_generator,
@@ -76,13 +74,6 @@ def test_uncertainty_identity_matches_the_predicate():
         assert (uncertainty_product(s) >= 0.25) == \
             is_positive(gaussian_from_bd(s))
         checked += 1
-
-
-def test_kernel_hermiticity_is_exact():
-    q = np.linspace(-4, 4, 41)
-    r = np.linspace(-5, 5, 51)
-    for g in (GaussianParams(0.3, 0.0, 0.2), GaussianParams(0.3, 0.7, -0.1)):
-        assert kernel_hermiticity_residual(g, q, r) == 0.0
 
 
 def test_hermite_psi_orthonormal():
