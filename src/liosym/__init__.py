@@ -25,16 +25,17 @@ from .fock import (annihilation, coherent_projector, creation,
                    fock_projector, momentum, number, position,
                    random_density, thermal_state, vacuum_projector)
 from .fourdim import REP, SYMPLECTIC_FORM
-from .gaussian import (GaussianParams, StationaryGaussian, domain_bound,
+from .gaussian import (GaussianParams, StationaryGaussian, exact_edges,
                        fock_from_gaussian, gaussian_from_bd, hermite_psi,
                        is_positive, numeric_positivity_boundary,
                        position_rep_residual, positivity_boundary,
-                       transformed_gaussian, uncertainty_product)
+                       printed_forms, transformed_gaussian,
+                       uncertainty_product)
 from .generators import (COMMUTATION_TABLE, CONSERVING, GENERATOR_NAMES,
                          NONCONSERVING, UNITARY, CoefficientVector,
                          build_generator, ladder_superops, ten_generators)
-from .liouville import (SuperOperator, adjoint_super, associate_super,
-                        make_superoperator, transpose_super, unvec, vec)
+from .liouville import (SuperOperator, associate_super, make_superoperator,
+                        unvec, vec)
 from .models import (DegenerateKernelError, ModelParams, Trajectory, evolve,
                      expectation_invariance_check, form_invariance,
                      map_cl_to_hpz, map_kl_to_cl, model_coefficients,

@@ -7,7 +7,7 @@ Subcommands:
            the ordered table of checks.SUITE
   evolve   trajectory CSV for one of the three models
   map      cross-model maps and form-invariance transformations
-  domain   closed-form and numeric positivity bounds
+  domain   exact and Fock-scanned positivity edges
   steady   stationary state, moments, kernel residual
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
@@ -188,30 +188,18 @@ def cmd_map(args):
 # ------------------------------------------------------------------ domain
 def cmd_domain(args):
     s = gaussian.StationaryGaussian(args.b, args.d, args.omega0)
-    closed = gaussian.domain_bound(args.kind, s, phi=args.phi,
-                                   gamma=args.gamma)
-    reference = closed.get("derived", closed.get("bound"))
-    numeric = {}
-    if args.kind == "cl2hpz":
-        bound = closed["bound"]
-        numeric["upper"] = gaussian.positivity_boundary(
-            "cl2hpz", s, n=args.fock_dim)
-        numeric["lower"] = gaussian.positivity_boundary(
-            "cl2hpz", s, n=args.fock_dim,
-            bracket=(max(-bound - 0.4, -2 * s.b + 0.02), -bound + 0.4))
-        agree = (abs(numeric["upper"] - bound) <= 1e-3
-                 and abs(numeric["lower"] + bound) <= 1e-3)
-    else:
-        numeric["boundary"] = gaussian.positivity_boundary(
-            args.kind, s, n=args.fock_dim, phi=args.phi)
-        agree = abs(numeric["boundary"] - reference) <= 1e-3
+    exact = gaussian.exact_edges(args.kind, s, phi=args.phi)
+    numeric = gaussian.positivity_boundary(args.kind, s, n=args.fock_dim,
+                                           phi=args.phi)
     report = {
         "kind": args.kind,
         "base": {"b": s.b, "d": s.d, "omega0": s.omega0},
-        "closed_form": closed,
+        "exact": exact,
         "numeric": numeric,
         "numeric_tol": 1e-3,
-        "agree": bool(agree),
+        "agree": all(abs(numeric[k] - exact[k]) <= 1e-3 for k in exact),
+        **gaussian.printed_forms(args.kind, s, exact, phi=args.phi,
+                                 gamma=args.gamma),
     }
     if args.kind == "hpz":
         report["phi"] = args.phi
@@ -315,8 +303,8 @@ def build_parser():
     m.add_argument("--zeta", type=float, default=0.0)
     m.set_defaults(func=cmd_map)
 
-    d = sub.add_parser("domain", help="positivity bounds, closed and "
-                       "numeric", parents=[common])
+    d = sub.add_parser("domain", help="positivity edges, exact and "
+                       "Fock-scanned", parents=[common])
     d.add_argument("--kind", required=True,
                    choices=["thermal", "translate", "hpz", "kl2cl",
                             "cl2hpz"])
@@ -342,6 +330,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "fock_dim", 1) < 1:
+            raise ValueError(f"--fock-dim must be at least 1, got "
+                             f"{args.fock_dim}")
         if args.command == "map" and bool(args.invariance) == bool(args.src):
             raise ValueError("map needs either --invariance or --from/--to")
         return args.func(args)

@@ -9,15 +9,16 @@ Matching this to the generic kernel exp[-2 mu Q^2 - i kappa Q r
 - (mu + nu) r^2 / 2] gives mu = 1/(2w), kappa = 0, nu = b - mu, and the
 state is a positive operator exactly when mu > 0 and nu >= 0.
 
-Two independent routes to positivity are implemented: the algebraic
-predicate above, and a quadrature construction of the Fock-basis matrix
-whose smallest eigenvalue is scanned directly.  The numeric scan is the
-ground truth for the transformation-domain bounds.  Every family is
-scanned the same way: its parameter flow (transformed_gaussian) gives the
-transformed Gaussian, and quadrature gives its Fock-basis matrix; a test
-pins the thermal flow to the literal exp(alpha O0) action on the Fock
-state.  Closed forms are reported next to the scan, in both printed and
-rederived variants where the two disagree.
+Positivity of a transformed state is decided two ways.  The exact
+criterion is the reference: each family's parameter flow
+(transformed_gaussian) gives the transformed Gaussian, which is positive
+exactly when w' > 0 and 2b'w' >= 1, so every domain edge is a root of
+2b'w' = 1 along the flow, for any base (exact_edges).  The truncation
+cross-check rebuilds the transformed state in the Fock basis by
+quadrature and bisects the sign change of its smallest eigenvalue
+(positivity_boundary); a test pins the thermal flow to the literal
+exp(alpha O0) action on the Fock state.  The paper's printed conditions
+are read against the exact edges by printed_forms.
 
 Everything is dimensionless (m = omega0 = hbar = 1 internally); x is the
 scaled position sqrt(m omega0) q.
@@ -31,7 +32,7 @@ import numpy as np
 POSITIVITY_SLACK = 1e-12
 
 QUAD_HALF_WIDTH, QUAD_NPTS = 12.0, 601  # fock_from_gaussian's grid
-SCAN_TOL = 1e-4  # numeric_positivity_boundary's accuracy in the parameter
+SCAN_TOL = 1e-4  # positivity_boundary's accuracy in the parameter
 # Reconstructed states inside the positive domain carry O(1e-15) negative
 # roundoff, so "positive" means min-eig > -EIG_FLOOR; the located root
 # shifts by EIG_FLOOR/slope, negligible against SCAN_TOL.
@@ -141,78 +142,19 @@ def fock_from_gaussian(s, n):
     return rho / np.trace(rho)
 
 
-# --------------------------------------------------------- domain bounds
-def domain_bound(kind, s, phi=0.0, gamma=None):
-    """Closed-form positivity bound on the transformation parameter.
-
-    Returns a dict with the bound(s); for the two cases where the
-    printed inequality disagrees with what the parameter flow implies
-    (thermal and the two-parameter hpz family), both forms appear, keyed
-    "printed" and "derived".  The numeric scan (positivity_boundary) is
-    the authority.
-
-    kinds:
-      thermal   alpha >= -ln(2b) at d = 0   (printed: +ln 2b)
-      translate beta  >= -(2b - 1)
-      hpz       xi    >= 1/(2w) - b e^{2 phi}   (printed: 2/w - 2b e^{2 phi})
-      kl2cl     cosh(theta) <= 2b, equivalently eta >= gamma/(2 omega0)
-      cl2hpz    |zeta| <= sqrt(4 b^2 - 1)
-    """
-    b, w = s.b, s.width
-    if kind == "thermal":
-        # b' = b e^alpha, d' = d e^alpha, so w' = w e^alpha and the
-        # inequality 2 b' w' >= 1 solves to the derived form below
-        return {
-            "kind": kind,
-            "parameter": "alpha",
-            "printed": math.log(2 * b),
-            "derived": -0.5 * math.log(2 * b * w),
-            "side": ">=",
-        }
-    if kind == "translate":
-        return {
-            "kind": kind,
-            "parameter": "beta",
-            "bound": -(2 * b - 1),
-            "side": ">=",
-        }
-    if kind == "hpz":
-        return {
-            "kind": kind,
-            "parameter": "xi",
-            "phi": phi,
-            "printed": 2 / w - 2 * b * math.exp(2 * phi),
-            "derived": 1 / (2 * w) - b * math.exp(2 * phi),
-            "side": ">=",
-        }
-    if kind == "kl2cl":
-        if 2 * b < 1:
-            raise ValueError("base state is already non-positive (2b < 1)")
-        out = {
-            "kind": kind,
-            "parameter": "theta",
-            "bound": math.acosh(2 * b),
-            "side": "|.| <=",
-            "cosh_theta_max": 2 * b,
-        }
-        if gamma is not None:
-            # theta fixed by the map itself; the eta >= gamma/(2 omega0)
-            # form is the same condition
-            theta = math.asinh(-gamma / (2 * s.omega0))
-            out["theta_model"] = theta
-            out["eta_min"] = gamma / (2 * s.omega0)
-            out["within_domain"] = math.cosh(theta) <= 2 * b
-        return out
-    if kind == "cl2hpz":
-        if 4 * b ** 2 < 1:
-            raise ValueError("base state is already non-positive (b < 1/2)")
-        return {
-            "kind": kind,
-            "parameter": "zeta",
-            "bound": math.sqrt(4 * b ** 2 - 1),
-            "side": "|.| <=",
-        }
-    raise ValueError(f"unknown domain kind {kind!r}")
+# ---------------------------------------------------------- domain edges
+# The report key of each edge of a kind's domain, and the direction of the
+# parameter p that leaves the domain through it.
+EDGES = {
+    "thermal": (("boundary", -1),),
+    "translate": (("boundary", -1),),
+    "hpz": (("boundary", -1),),
+    "kl2cl": (("boundary", 1),),
+    "cl2hpz": (("lower", -1), ("upper", 1)),
+}
+MAX_STEPS = 64  # cap on every walk along a flow: doublings from 1 to 2^63,
+# or halvings toward an edge
+BRACKET_HALF_WIDTH = 0.4  # the Fock scan's bracket around each exact edge
 
 
 def transformed_gaussian(kind, s, p, phi=0.0):
@@ -240,63 +182,128 @@ def transformed_gaussian(kind, s, p, phi=0.0):
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def numeric_positivity_boundary(state_fn, lo, hi):
-    """Bisect the scan parameter for the sign change of the smallest
-    eigenvalue of state_fn(p), the transformed, renormalized state.
+def _inside(kind, s, p, phi):
+    """The exact criterion at p: the transformed Gaussian has w' > 0 and
+    2b'w' >= 1 (is_positive without its roundoff slack).  Parameters
+    beyond floating range are no state, so outside."""
+    try:
+        t = transformed_gaussian(kind, s, p, phi)
+    except OverflowError:
+        return False
+    return t.width > 0 and 2 * t.b * t.width >= 1
 
-    positivity_boundary builds state_fn from the family's parameter flow
-    (transformed_gaussian) and quadrature, never by exponentiating a
-    truncated generator: shear steps amplify the truncation tails wildly,
-    and even the diagonal O0 dilation, applied literally, turns the
-    truncated state negative at both ends of the bracket once b >= 1.5.
-    Accuracy SCAN_TOL in the parameter; raises if min-eig has the same
-    sign at both ends.
+
+def exact_edges(kind, s, phi=0.0):
+    """Exact positivity edges of the kind's transformation parameter, as
+    {key: edge} keyed as in EDGES.
+
+    Each edge is the sign change of the exact criterion 2b'w' = 1 (with
+    w' > 0) along transformed_gaussian, bisected to float resolution.  The
+    search starts inside the domain: at p = 0 when the base is inside,
+    else at the first inside point of a doubling walk against the first
+    edge's exit direction (for hpz with phi != 0, xi = 0 can lie outside).
     """
-    def positive(p):
-        return float(np.linalg.eigvalsh(state_fn(p)).min()) > -EIG_FLOOR
+    if kind not in EDGES:
+        raise ValueError(f"unknown domain kind {kind!r}")
 
-    s_lo, s_hi = positive(lo), positive(hi)
+    def inside(p):
+        return _inside(kind, s, p, phi)
+
+    def walk(start, step, want):
+        for k in range(MAX_STEPS):
+            p = start + step * 2.0 ** k
+            if inside(p) == want:
+                return p
+        raise ValueError(
+            f"no {'positive' if want else 'non-positive'} point along the "
+            f"{kind} flow from p = {start:g} for the base b = {s.b:g}, "
+            f"d = {s.d:g}, omega0 = {s.omega0:g} (w = {s.width:.6g}, "
+            f"2bw = {2 * s.b * s.width:.6g})")
+
+    edges = EDGES[kind]
+    start = 0.0 if inside(0.0) else walk(0.0, -edges[0][1], True)
+    return {key: numeric_positivity_boundary(
+        inside, start, walk(start, exit_dir, False), 0.0)
+        for key, exit_dir in edges}
+
+
+def printed_forms(kind, s, edges, phi=0.0, gamma=None):
+    """The paper's printed conditions, read against the exact edges.
+
+    thermal and hpz: the printed inequality (alpha >= ln 2b, xi >= 2/w -
+    2b e^{2 phi}), kept as the record that the scan disagrees with it.
+    kl2cl with gamma: the map's own theta = asinh(-gamma / 2 omega0),
+    whether |theta| lies within the edge, and the equivalent damping form
+    eta >= gamma/(2 omega0) sqrt(2b/w) (gamma/(2 omega0) at d = 0).
+    """
+    if kind == "thermal":
+        return {"printed": math.log(2 * s.b)}
+    if kind == "hpz":
+        return {"printed": 2 / s.width - 2 * s.b * math.exp(2 * phi)}
+    if kind == "kl2cl" and gamma is not None:
+        theta = math.asinh(-gamma / (2 * s.omega0))
+        return {"theta_model": theta,
+                "eta_min": gamma / (2 * s.omega0)
+                * math.sqrt(2 * s.b / s.width),
+                "within_domain": abs(theta) <= edges["boundary"]}
+    return {}
+
+
+def numeric_positivity_boundary(inside, lo, hi, tol):
+    """Bisect between lo and hi (in either order) for the sign change of
+    the predicate inside(p), until |hi - lo| <= tol or the midpoint equals
+    an end (float resolution, what tol = 0 asks for); returns the
+    midpoint.  Raises if inside has the same value at both ends.
+    """
+    s_lo, s_hi = inside(lo), inside(hi)
     if s_lo == s_hi:
         raise ValueError(
-            f"no sign change in range [{lo}, {hi}]: min-eig "
+            f"no sign change in range [{lo}, {hi}]: "
             f"{'positive' if s_lo else 'negative'} at both ends")
-    while hi - lo > SCAN_TOL:
+    while abs(hi - lo) > tol:
         mid = (lo + hi) / 2
-        if positive(mid) == s_lo:
+        if mid in (lo, hi):
+            break
+        if inside(mid) == s_lo:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
 
 
-def positivity_boundary(kind, s, n=30, phi=0.0, bracket=None):
-    """Numeric positivity boundary for one of the five families.
+def positivity_boundary(kind, s, n=30, phi=0.0):
+    """Fock-scanned positivity edges, keyed as exact_edges: the truncation
+    cross-check of the exact criterion.
 
-    Every family goes through the same route: the parameter flow gives
-    the transformed Gaussian, quadrature its Fock-basis matrix at cutoff
-    n, and numeric_positivity_boundary the sign change of its smallest
-    eigenvalue.  Brackets default to the derived closed form +- 0.4,
-    clipped to the normalizable region; the thermal flow keeps b' = b
-    e^alpha and w' = w e^alpha positive, so its bracket needs no clip.
+    Each edge is bracketed at its exact value +- BRACKET_HALF_WIDTH, and
+    each end is pulled halfway toward the edge until the transformed
+    Gaussian there is normalizable (b' > 0, w' > 0) and on its own side of
+    the edge.  In the bracket the parameter flow gives the transformed
+    Gaussian, quadrature its Fock-basis matrix at cutoff n, and
+    numeric_positivity_boundary the sign change of its smallest
+    eigenvalue, to SCAN_TOL.  No truncated generator is exponentiated:
+    shear steps amplify the truncation tails wildly, and even the O0
+    dilation, applied literally, turns the truncated state negative at
+    both ends of the bracket once b >= 1.5.
     """
-    if bracket is None:
-        bnd = domain_bound(kind, s, phi=phi)
-        a = bnd.get("derived", bnd.get("bound"))
-        lo, hi = a - 0.4, a + 0.4
-        if kind == "translate":
-            lo = max(lo, -2 * s.b + 0.02)  # w' = 2b + beta > 0
-        elif kind == "cl2hpz":  # upper boundary; scan the lower by hand
-            hi = min(hi, 2 * s.b - 0.02)  # w' = 2b - z
-        elif kind == "kl2cl":
-            lo = max(lo, 0.0)
-        elif kind == "hpz":
-            lo = max(lo, -s.b * math.exp(2 * phi) + 0.02)  # b' > 0
-        bracket = (lo, hi)
+    def positive(p):
+        rho = fock_from_gaussian(transformed_gaussian(kind, s, p, phi), n)
+        return float(np.linalg.eigvalsh(rho).min()) > -EIG_FLOOR
 
-    def state_fn(p):
-        return fock_from_gaussian(transformed_gaussian(kind, s, p, phi), n)
-
-    return numeric_positivity_boundary(state_fn, bracket[0], bracket[1])
+    exact, out = exact_edges(kind, s, phi), {}
+    for key, exit_dir in EDGES[kind]:
+        edge, ends = exact[key], []
+        for away in (-exit_dir, exit_dir):  # the inside end, then outside
+            end = edge + away * BRACKET_HALF_WIDTH
+            for _ in range(MAX_STEPS):
+                t = transformed_gaussian(kind, s, end, phi)
+                on_side = _inside(kind, s, end, phi) == (away != exit_dir)
+                if t.b > 0 and t.width > 0 and on_side:
+                    break
+                end = (end + edge) / 2
+            ends.append(end)
+        out[key] = numeric_positivity_boundary(positive, *ends, SCAN_TOL)
+    return out
 
 
 # ---------------------------------------------------- position-space check

@@ -45,26 +45,6 @@ def make_superoperator(x1, x2):
     return np.kron(x1, x2.T)
 
 
-def super_identity(n):
-    return np.eye(n * n, dtype=complex)
-
-
-def apply_super(X, rho):
-    n = rho.shape[0]
-    return unvec(X @ vec(rho), n)
-
-
-def transpose_super(X, n):
-    """Operator-space transpose: x1 (.) x2 -> x2 (.) x1."""
-    p = swap_indices(n)
-    return X.T[np.ix_(p, p)]
-
-
-def adjoint_super(X):
-    """Operator-space adjoint: x1 (.) x2 -> x1† (.) x2†."""
-    return X.conj().T
-
-
 def associate_super(X, n):
     """Association: x1 (.) x2 -> x2† (.) x1†  (transpose of the adjoint)."""
     p = swap_indices(n)
@@ -84,17 +64,17 @@ def adjoint_symmetry_residual(X, n):
 SAFE_MARGIN = 4
 
 
-def safe_indices(n, margin=SAFE_MARGIN):
-    """Flat operator-space indices with both bra and ket below n - margin."""
-    keep = np.arange(n - margin - 1 + 1)  # levels 0 .. n-margin-1
-    keep = keep[keep >= 0]
+def safe_indices(n):
+    """Flat operator-space indices with both bra and ket below
+    n - SAFE_MARGIN."""
+    keep = np.arange(n - SAFE_MARGIN)  # levels 0 .. n-SAFE_MARGIN-1
     return (keep[:, None] * n + keep[None, :]).reshape(-1)
 
 
-def safe_block_residual(X, n, margin=SAFE_MARGIN):
+def safe_block_residual(X, n):
     """Max |entry| of a dense or sparse superoperator over the safe
     index block."""
-    idx = safe_indices(n, margin)
+    idx = safe_indices(n)
     return abs(X[np.ix_(idx, idx)]).max()
 
 

@@ -244,12 +244,12 @@ def test_criterion_08_cross_model_maps():
 def test_criterion_09_positivity_boundaries():
     t0 = time.time()
     s = StationaryGaussian(1.0)
-    beta = positivity_boundary("translate", s, n=24)
-    zeta = positivity_boundary("cl2hpz", s, n=24)
+    beta = positivity_boundary("translate", s, n=24)["boundary"]
+    zeta = positivity_boundary("cl2hpz", s, n=24)["upper"]
     beta_err = abs(beta - (-1.0))
     zeta_err = abs(zeta - math.sqrt(3.0))
 
-    alpha = positivity_boundary("thermal", s, n=24)
+    alpha = positivity_boundary("thermal", s, n=24)["boundary"]
     printed, derived = math.log(2.0), -math.log(2.0)
     dev_printed, dev_derived = abs(alpha - printed), abs(alpha - derived)
     supports = "derived" if dev_derived < dev_printed else "printed"

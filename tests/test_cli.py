@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import liosym.generators
+from liosym import StationaryGaussian, exact_edges
 from liosym.cli import main
 
 
@@ -183,7 +184,7 @@ def test_domain_translate(tmp_path):
         tmp_path, ["domain", "--kind", "translate", "--b", "1"])
     assert code == 0
     assert report["agree"]
-    assert report["closed_form"]["bound"] == pytest.approx(-1.0)
+    assert report["exact"]["boundary"] == pytest.approx(-1.0)
     assert report["numeric"]["boundary"] == pytest.approx(-1.0, abs=1e-3)
 
 
@@ -191,9 +192,9 @@ def test_domain_thermal_reports_both_closed_forms(tmp_path):
     code, report = run_json(
         tmp_path, ["domain", "--kind", "thermal", "--b", "1"])
     assert code == 0
-    assert report["closed_form"]["printed"] == pytest.approx(math.log(2))
-    assert report["closed_form"]["derived"] == pytest.approx(-math.log(2))
-    # the numeric scan sides with the derived form
+    assert report["printed"] == pytest.approx(math.log(2))
+    assert report["exact"]["boundary"] == pytest.approx(-math.log(2))
+    # the numeric scan sides with the exact edge
     assert report["numeric"]["boundary"] == pytest.approx(-math.log(2),
                                                           abs=1e-3)
     assert report["agree"]
@@ -220,6 +221,67 @@ def test_domain_cl2hpz_scans_both_edges(tmp_path):
     assert report["numeric"]["upper"] == pytest.approx(r3, abs=1e-3)
     assert report["numeric"]["lower"] == pytest.approx(-r3, abs=1e-3)
     assert report["agree"]
+
+
+def test_domain_edges_of_a_base_with_d(tmp_path):
+    # b = 1, d = 0.3, omega0 = 1, so w = 2.3: each edge is a root of
+    # 2b'w' = 1 along the kind's flow
+    w = 2.3
+    want = {
+        "thermal": {"boundary": -0.5 * math.log(2 * w)},
+        # (2 + beta)(2.3 + beta) = 1
+        "translate": {"boundary": (-4.3 + math.sqrt(4.3 ** 2 - 4 * 3.6))
+                      / 2},
+        "hpz": {"boundary": 1 / (2 * w) - 1},
+        # cosh^2 theta = 2bw
+        "kl2cl": {"boundary": math.acosh(math.sqrt(2 * w))},
+        # (2 + zeta)(2.3 - zeta) = 1
+        "cl2hpz": {"lower": (0.3 - math.sqrt(0.09 + 14.4)) / 2,
+                   "upper": (0.3 + math.sqrt(0.09 + 14.4)) / 2},
+    }
+    for kind, edges in want.items():
+        code, report = run_json(
+            tmp_path, ["domain", "--kind", kind, "--b", "1", "--d", "0.3",
+                       "--fock-dim", "30"], name=f"{kind}.json")
+        assert code == 0, kind
+        assert report["agree"] is True, kind
+        assert report["exact"].keys() == edges.keys() == \
+            report["numeric"].keys()
+        exact = exact_edges(kind, StationaryGaussian(1.0, 0.3))
+        for key, edge in edges.items():
+            assert abs(exact[key] - edge) <= 1e-12, (kind, key)
+            # the report carries 12 significant digits
+            assert abs(report["exact"][key] - edge) <= 1e-11, (kind, key)
+            assert abs(report["numeric"][key] - edge) <= 1e-3, (kind, key)
+
+
+def test_domain_hpz_starts_inside_the_domain(tmp_path):
+    # phi = 0.5 puts xi = 0 outside the domain of a b = 0.3 base
+    code, report = run_json(
+        tmp_path, ["domain", "--kind", "hpz", "--b", "0.3", "--phi", "0.5"])
+    assert code == 0
+    assert report["exact"]["boundary"] == pytest.approx(
+        1 / 1.2 - 0.3 * math.exp(1.0), abs=1e-11)
+    assert report["agree"]
+
+
+def test_domain_rejects_a_base_with_no_positive_point(tmp_path, capsys):
+    for b in ("-1", "0"):
+        code, _ = run_json(tmp_path, ["domain", "--kind", "thermal",
+                                      "--b", b])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no positive point" in err and f"base b = {b}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["steady", "--model", "kl"], ["evolve", "--model", "kl"],
+    ["domain", "--kind", "thermal"]])
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_cutoff_below_one_is_rejected(tmp_path, capsys, command, cutoff):
+    code, _ = run_json(tmp_path, command + ["--fock-dim", cutoff])
+    assert code == 2
+    assert "--fock-dim" in capsys.readouterr().err
 
 
 def test_steady_hpz_report(tmp_path):

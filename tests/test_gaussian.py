@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from liosym import (
     ModelParams,
     StationaryGaussian,
-    domain_bound,
+    exact_edges,
     fock_from_gaussian,
     form_invariance,
     gaussian_from_bd,
@@ -22,6 +22,7 @@ from liosym import (
     numeric_positivity_boundary,
     position_rep_residual,
     positivity_boundary,
+    printed_forms,
     steady_state,
     thermal_state,
     transformed_gaussian,
@@ -134,37 +135,60 @@ def test_transformed_gaussian_agrees_with_the_model_maps():
 
 
 def test_domain_bound_values():
+    # at d = 0 the exact edges are the closed forms; the predicate flips
+    # across each of them, leaving the domain in the given direction
+    for b in (0.55, 1.0, 1.8):
+        s = StationaryGaussian(b)
+        r = math.sqrt(4 * b * b - 1)
+        for phi in (-0.3, 0.0, 0.3):
+            want = {
+                "thermal": {"boundary": (-0.5 * math.log(4 * b * b), -1)},
+                "translate": {"boundary": (1 - 2 * b, -1)},
+                "hpz": {"boundary": (1 / (4 * b) - b * math.exp(2 * phi),
+                                     -1)},
+                "kl2cl": {"boundary": (math.acosh(2 * b), 1)},
+                "cl2hpz": {"lower": (-r, -1), "upper": (r, 1)},
+            }
+            for kind, edges in want.items():
+                got = exact_edges(kind, s, phi=phi)
+                assert got.keys() == edges.keys(), kind
+                for key, (edge, out) in edges.items():
+                    assert abs(got[key] - edge) <= 1e-14, (kind, b, phi, key)
+                    inside = [is_positive(gaussian_from_bd(
+                        transformed_gaussian(kind, s, edge + dp, phi)))
+                        for dp in (-out * 1e-9, out * 1e-9)]
+                    assert inside == [True, False], (kind, b, phi, key)
+
     s = StationaryGaussian(1.0)
-    out = domain_bound("thermal", s)
-    assert out["printed"] == pytest.approx(math.log(2.0), abs=1e-14)
-    assert out["derived"] == pytest.approx(-math.log(2.0), abs=1e-14)
-    assert out["side"] == ">="
-
-    assert domain_bound("translate", s)["bound"] == pytest.approx(-1.0)
-
-    out = domain_bound("hpz", s, phi=0.3)
-    assert out["derived"] == pytest.approx(0.25 - math.exp(0.6), abs=1e-14)
+    assert printed_forms("thermal", s, exact_edges("thermal", s)) == \
+        {"printed": pytest.approx(math.log(2.0), abs=1e-14)}
+    out = printed_forms("hpz", s, exact_edges("hpz", s, phi=0.3), phi=0.3)
     assert out["printed"] == pytest.approx(1 - 2 * math.exp(0.6), abs=1e-14)
+    assert printed_forms("translate", s, exact_edges("translate", s)) == {}
 
-    out = domain_bound("kl2cl", s, gamma=0.6)
-    assert out["bound"] == pytest.approx(math.acosh(2.0), abs=1e-14)
-    assert out["cosh_theta_max"] == 2.0
+    out = printed_forms("kl2cl", s, exact_edges("kl2cl", s), gamma=0.6)
     assert out["theta_model"] == pytest.approx(math.asinh(-0.3), abs=1e-14)
     assert out["eta_min"] == pytest.approx(0.3, abs=1e-14)
     assert out["within_domain"]
+    # with d != 0 the damping form scales by sqrt(2b/w)
+    s3 = StationaryGaussian(1.0, 0.3)
+    out = printed_forms("kl2cl", s3, exact_edges("kl2cl", s3), gamma=0.6)
+    assert out["eta_min"] == pytest.approx(0.3 * math.sqrt(2 / 2.3),
+                                           abs=1e-14)
     # strong damping on a nearly pure state leaves the domain
-    out = domain_bound("kl2cl", StationaryGaussian(0.51), gamma=3.0)
-    assert not out["within_domain"]
-    with pytest.raises(ValueError, match="2b < 1"):
-        domain_bound("kl2cl", StationaryGaussian(0.4))
+    s51 = StationaryGaussian(0.51)
+    assert not printed_forms("kl2cl", s51, exact_edges("kl2cl", s51),
+                             gamma=3.0)["within_domain"]
 
-    assert domain_bound("cl2hpz", s)["bound"] == \
-        pytest.approx(math.sqrt(3.0), abs=1e-14)
-    with pytest.raises(ValueError, match="b < 1/2"):
-        domain_bound("cl2hpz", StationaryGaussian(0.4))
-
+    # no positive point: 2bw < 1 for kl2cl and cl2hpz, b <= 0 for thermal
+    for kind, base in (("kl2cl", StationaryGaussian(0.4)),
+                       ("cl2hpz", StationaryGaussian(0.4)),
+                       ("thermal", StationaryGaussian(-1.0)),
+                       ("thermal", StationaryGaussian(0.0, 0.5))):
+        with pytest.raises(ValueError, match="no positive point.*base b = "):
+            exact_edges(kind, base)
     with pytest.raises(ValueError, match="unknown domain kind"):
-        domain_bound("squeeze", s)
+        exact_edges("squeeze", s)
 
 
 def test_thermal_flow_matches_the_literal_O0_action():
@@ -187,28 +211,35 @@ def test_thermal_flow_matches_the_literal_O0_action():
 
 def test_numeric_boundary_needs_a_sign_change():
     s = StationaryGaussian(1.0)
+
+    def positive(p):
+        rho = fock_from_gaussian(transformed_gaussian("thermal", s, p), 16)
+        return float(np.linalg.eigvalsh(rho).min()) > 0
+
     with pytest.raises(ValueError, match="no sign change"):
-        numeric_positivity_boundary(
-            lambda p: fock_from_gaussian(
-                transformed_gaussian("thermal", s, p), 16), -0.1, 0.1)
+        numeric_positivity_boundary(positive, -0.1, 0.1, 1e-4)
 
 
 def test_positivity_boundary_flow_families():
     s = StationaryGaussian(1.0)
-    assert abs(positivity_boundary("translate", s, n=24) - (-1.0)) < 2e-3
-    assert abs(positivity_boundary("cl2hpz", s, n=24)
-               - math.sqrt(3.0)) < 2e-3
-    assert abs(positivity_boundary("kl2cl", s, n=24)
-               - math.acosh(2.0)) < 2e-3
-    # lower cl2hpz edge via an explicit bracket; zeta > -2b keeps b' > 0
     r3 = math.sqrt(3.0)
-    got = positivity_boundary("cl2hpz", s, n=24,
-                              bracket=(max(-r3 - 0.3, -2 * s.b + 0.02),
-                                       -r3 + 0.3))
-    assert abs(got + r3) < 2e-3
-    got = positivity_boundary("hpz", s, n=24, phi=0.3)
-    want = domain_bound("hpz", s, phi=0.3)["derived"]
+    assert abs(positivity_boundary("translate", s, n=24)["boundary"]
+               - (-1.0)) < 2e-3
+    assert abs(positivity_boundary("kl2cl", s, n=24)["boundary"]
+               - math.acosh(2.0)) < 2e-3
+    got = positivity_boundary("cl2hpz", s, n=24)
+    assert abs(got["upper"] - r3) < 2e-3
+    assert abs(got["lower"] + r3) < 2e-3
+    got = positivity_boundary("hpz", s, n=24, phi=0.3)["boundary"]
+    want = exact_edges("hpz", s, phi=0.3)["boundary"]
     assert abs(got - want) < 2e-3
+    # near a pure base the domain is narrower than the bracket, whose
+    # inside end must stop short of the other edge
+    for kind, b in (("kl2cl", 0.505), ("cl2hpz", 0.51)):
+        near_pure = StationaryGaussian(b)
+        want = exact_edges(kind, near_pure)
+        got = positivity_boundary(kind, near_pure, n=24)
+        assert all(abs(got[k] - want[k]) < 2e-3 for k in want), kind
 
 
 def test_position_rep_residual_analytic():

@@ -3,12 +3,10 @@ import pytest
 from scipy import sparse
 
 from liosym.fock import annihilation, random_density
-from liosym.liouville import (SuperOperator, adjoint_super,
-                              adjoint_symmetry_residual, apply_super,
-                              associate_super, make_superoperator,
-                              safe_block_residual, safe_indices,
-                              super_identity, swap_indices, transpose_super,
-                              unvec, vec)
+from liosym.liouville import (SAFE_MARGIN, SuperOperator,
+                              adjoint_symmetry_residual, associate_super,
+                              make_superoperator, safe_block_residual,
+                              safe_indices, swap_indices, unvec, vec)
 
 RNG = np.random.default_rng(7)
 
@@ -28,7 +26,7 @@ def test_superoperator_matches_sandwich():
     n = 7
     x1, x2, rho = random_op(n), random_op(n), random_op(n)
     X = make_superoperator(x1, x2)
-    assert np.allclose(apply_super(X, rho), x1 @ rho @ x2, atol=1e-13)
+    assert np.allclose(unvec(X @ vec(rho), n), x1 @ rho @ x2, atol=1e-13)
 
 
 def test_composition_is_matrix_product():
@@ -36,15 +34,9 @@ def test_composition_is_matrix_product():
     x1, x2, y1, y2, rho = (random_op(n) for _ in range(5))
     X = make_superoperator(x1, x2)
     Y = make_superoperator(y1, y2)
-    lhs = apply_super(X @ Y, rho)
+    lhs = unvec(X @ Y @ vec(rho), n)
     rhs = x1 @ (y1 @ rho @ y2) @ x2
     assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_identity_superoperator():
-    n = 6
-    rho = random_op(n)
-    assert np.allclose(apply_super(super_identity(n), rho), rho)
 
 
 def test_swap_is_involution():
@@ -52,27 +44,12 @@ def test_swap_is_involution():
     assert np.array_equal(p[p], np.arange(81))
 
 
-def test_transpose_swaps_factors():
-    n = 6
-    x1, x2, rho = random_op(n), random_op(n), random_op(n)
-    XT = transpose_super(make_superoperator(x1, x2), n)
-    assert np.allclose(apply_super(XT, rho), x2 @ rho @ x1, atol=1e-13)
-
-
-def test_adjoint_conjugates_factors():
-    n = 6
-    x1, x2, rho = random_op(n), random_op(n), random_op(n)
-    Xd = adjoint_super(make_superoperator(x1, x2))
-    want = x1.conj().T @ rho @ x2.conj().T
-    assert np.allclose(apply_super(Xd, rho), want, atol=1e-13)
-
-
 def test_association_swaps_and_daggers():
     n = 6
     x1, x2, rho = random_op(n), random_op(n), random_op(n)
     Xa = associate_super(make_superoperator(x1, x2), n)
     want = x2.conj().T @ rho @ x1.conj().T
-    assert np.allclose(apply_super(Xa, rho), want, atol=1e-13)
+    assert np.allclose(unvec(Xa @ vec(rho), n), want, atol=1e-13)
 
 
 def test_association_is_antilinear_involution():
@@ -92,23 +69,25 @@ def test_adjoint_symmetry_iff_hermiticity_preserving():
     assert adjoint_symmetry_residual(sym, n) <= 1e-11
     for _ in range(5):
         rho = random_density(n, RNG)
-        out = apply_super(sym, rho)
+        out = unvec(sym @ vec(rho), n)
         assert np.abs(out - out.conj().T).max() < 1e-13
 
     y = random_op(n)
     asym = make_superoperator(x, y)
     if adjoint_symmetry_residual(asym, n) > 1e-6:
         rho = random_density(n, RNG)
-        out = apply_super(asym, rho)
+        out = unvec(asym @ vec(rho), n)
         assert np.abs(out - out.conj().T).max() > 1e-8
 
 
 def test_safe_indices_drop_top_levels():
-    idx = safe_indices(6, margin=2)
-    # pairs (m, n) with both below 4
-    assert len(idx) == 16
-    assert 0 in idx and (3 * 6 + 3) in idx
-    assert (4 * 6 + 0) not in idx
+    n = 10
+    idx = safe_indices(n)
+    # pairs (m, k) with both below n - SAFE_MARGIN
+    keep = n - SAFE_MARGIN
+    assert len(idx) == keep * keep
+    assert 0 in idx and ((keep - 1) * n + keep - 1) in idx
+    assert (keep * n + 0) not in idx and (0 * n + keep) not in idx
 
 
 def test_safe_block_residual_ignores_edge_junk():
@@ -128,7 +107,7 @@ def test_superoperator_holds_the_sparse_matrix_and_a_dense_view():
     assert sparse.issparse(S.csr)
     assert S.csr.nnz == np.count_nonzero(X)
     rho = random_density(n, RNG)
-    assert np.allclose(apply_super(S.csr, rho), a @ rho @ a.conj().T,
+    assert np.allclose(unvec(S.csr @ vec(rho), n), a @ rho @ a.conj().T,
                        atol=1e-13)
     assert np.array_equal(S.mat, X)
 
