@@ -39,8 +39,8 @@ from .liouville import (SuperOperator, associate_super, make_superoperator,
 from .models import (DegenerateKernelError, ModelParams, Trajectory, evolve,
                      expectation_invariance_check, form_invariance,
                      map_cl_to_hpz, map_kl_to_cl, model_coefficients,
-                     model_generator, stability_abscissa, steady_state,
-                     thermal_b)
+                     model_generator, observables, stability_abscissa,
+                     steady_state, thermal_b)
 from .transforms import (TransformSequence, TransformStep, apply_sequence,
                          coefficient_map, derivative_map,
                          diagonalize_frequency, displacement_superops,

@@ -30,7 +30,8 @@ from .checks import SUITE
 from .fock import coherent_projector, fock_projector
 from .generators import ten_generators
 from .models import (DegenerateKernelError, ModelParams, evolve,
-                     model_coefficients, model_generator, steady_state)
+                     model_coefficients, model_generator, observables,
+                     steady_state)
 from .transforms import apply_sequence, gibbs_from_vacuum
 
 DEFAULT_SEED = 20240915
@@ -94,10 +95,12 @@ def _initial_state(spec, n):
         if not 0 <= k < n:
             raise ValueError(f"fock level {k} outside cutoff {n}")
         return fock_projector(k, n)
-    if kind == "gibbs":
-        return gibbs_from_vacuum(float(arg), n)[0]
-    if kind == "coherent":
-        return coherent_projector(complex(arg), n)
+    if kind in ("gibbs", "coherent"):
+        z = float(arg) if kind == "gibbs" else complex(arg)
+        if not np.isfinite(z):
+            raise ValueError(f"--init {spec}: the argument must be finite")
+        return (gibbs_from_vacuum(z, n)[0] if kind == "gibbs"
+                else coherent_projector(z, n))
     raise ValueError(f"unknown initial state {spec!r}")
 
 
@@ -108,23 +111,17 @@ def _model_params(args):
 
 def cmd_evolve(args):
     p = _model_params(args)
-    if args.steps < 1 or args.t_max <= 0:
-        raise ValueError("need t-max > 0 and steps >= 1")
     n = args.fock_dim
     rho0 = _initial_state(args.init, n)
-    K = model_generator(p, n)
-    times = np.linspace(0.0, args.t_max, args.steps + 1)
-    traj = evolve(K, rho0, times)
+    traj = evolve(model_generator(p, n), rho0, args.t_max, args.steps)
 
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["t", "re_x", "re_p", "x2", "p2", "purity", "trace",
                 "min_eig"])
-    m = traj.moments
-    for i, t in enumerate(times):
-        w.writerow([f"{v:.12g}" for v in
-                    (t, m["x"][i], m["p"][i], m["x2"][i], m["p2"][i],
-                     m["purity"][i], m["trace"][i], m["min_eig"][i])])
+    cols = ("x", "p", "x2", "p2", "purity", "trace", "min_eig")
+    for row in zip(traj.times, *(traj.moments[k] for k in cols)):
+        w.writerow([f"{v:.12g}" for v in row])
     _write(buf.getvalue(), args.out)
     return 0
 
@@ -214,8 +211,7 @@ def cmd_steady(args):
     K = model_generator(p, n)
     rho, info = steady_state(K, return_info=True)
 
-    from .fock import momentum, position
-    x_op, p_op = position(n), momentum(n)
+    m = observables(rho[None])
     s = gaussian.StationaryGaussian(p.b, p.d, p.omega0)
     g = gaussian.gaussian_from_bd(s)
     pops = np.diag(rho).real
@@ -227,8 +223,8 @@ def cmd_steady(args):
         "kernel_eigenvalue": complex(info["eigenvalue"]),
         "min_eig": info["min_eig"],
         "moments": {
-            "x2": float(np.trace(x_op @ x_op @ rho).real),
-            "p2": float(np.trace(p_op @ p_op @ rho).real),
+            "x2": float(m["x2"][0]),
+            "p2": float(m["p2"][0]),
             "x2_expected": s.x2,
             "p2_expected": s.p2,
         },
@@ -333,6 +329,10 @@ def main(argv=None):
         if getattr(args, "fock_dim", 1) < 1:
             raise ValueError(f"--fock-dim must be at least 1, got "
                              f"{args.fock_dim}")
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"--{dest.replace('_', '-')} must be "
+                                 f"finite, got {value}")
         if args.command == "map" and bool(args.invariance) == bool(args.src):
             raise ValueError("map needs either --invariance or --from/--to")
         return args.func(args)

@@ -3,7 +3,10 @@
 Three generators are covered, all bilinear in the ladder operators: the
 number-conserving damping model (KL), the position-damping model (CL),
 and its extension with an independent momentum-diffusion coefficient
-(HPZ).  States evolve by rho(t) = exp(-K t) rho(0).
+(HPZ).  States evolve by rho(t) = exp(-K t) rho(0) on a uniform time
+grid (evolve), and one set of moment formulas (observables) serves both
+trajectories and stationary states.  K is a sparse matrix or the
+SuperOperator that model_generator returns.
 
 The symmetry content lives in two kinds of maps:
 
@@ -47,6 +50,10 @@ class ModelParams:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one "
                              f"of {MODELS}")
+        for name in ("omega0", "gamma", "b", "d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
         if self.gamma <= 0:
@@ -102,75 +109,58 @@ class Trajectory:
     max_herm_violation: float
 
 
-def evolve(K, rho0, times):
-    """Propagate rho0 through rho(t) = exp(-K t) rho0 at the given times.
+def observables(states):
+    """Moments of every state in a (T, n, n) stack, as length-T arrays.
 
-    times must be nondecreasing and nonnegative.  Hermiticity and unit
-    trace are checked at every step against a 1e-8 budget; a breach is
-    reported with a warning (truncation leakage grows with gamma*t and
-    shrinks with cutoff), never raised, and the worst violations are
-    returned on the trajectory.
+    x, p, x2, p2 and n are Re tr(op rho); purity is Re tr(rho^2), trace
+    the real part of the trace, and min_eig the smallest eigenvalue of the
+    hermitian part (rho + rho^dag)/2.
     """
+    n = states.shape[-1]
+    x, p = position(n), momentum(n)
+    ops = {"x": x, "p": p, "x2": x @ x, "p2": p @ p, "n": number(n)}
+    moments = {k: np.trace(op @ states, axis1=1, axis2=2).real
+               for k, op in ops.items()}
+    moments["purity"] = np.trace(states @ states, axis1=1, axis2=2).real
+    moments["trace"] = np.trace(states, axis1=1, axis2=2).real
+    moments["min_eig"] = np.linalg.eigvalsh(
+        (states + states.conj().transpose(0, 2, 1)) / 2).min(axis=1)
+    return moments
+
+
+def evolve(K, rho0, t_max, steps):
+    """Propagate rho0 through rho(t) = exp(-K t) rho0 on the uniform grid
+    t = 0, t_max/steps, ..., t_max.
+
+    One dense exp(-K t_max/steps) is applied steps times.  Hermiticity
+    and unit trace are checked at every time against a 1e-8 budget; a
+    breach is reported with a warning (truncation leakage grows with
+    gamma*t and shrinks with cutoff), never raised, and the worst
+    violations are returned on the trajectory.
+    """
+    if steps < 1 or not t_max > 0:
+        raise ValueError("need t-max > 0 and steps >= 1")
     mat, n = _matrix_and_dim(K)
-    mat = _dense(mat)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("times must be a nonempty 1-d array")
-    if times[0] < 0 or np.any(np.diff(times) < 0):
-        raise ValueError("times must be nondecreasing and >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (n, n):
         raise ValueError(f"state shape {rho0.shape} does not match cutoff {n}")
 
-    x_op, p_op = position(n), momentum(n)
-    num = number(n)
+    times = np.linspace(0.0, t_max, steps + 1)
+    prop = expm(-times[1] * mat.toarray())
+    vecs = np.empty((steps + 1, n * n), dtype=complex)
+    vecs[0] = vec(rho0)
+    for i in range(steps):
+        vecs[i + 1] = prop @ vecs[i]
+    states = vecs.reshape(-1, n, n)
 
-    # (dt, exp(-K dt)) pairs, reused for every step whose dt agrees to a
-    # relative 1e-12: the steps of a linspace differ in the last bits
-    props = []
-
-    def step(v, dt):
-        if dt == 0.0:
-            return v
-        for dt0, prop in props:
-            if abs(dt - dt0) <= 1e-12 * dt0:
-                return prop @ v
-        props.append((dt, expm(-dt * mat)))
-        return props[-1][1] @ v
-
-    states = np.empty((len(times), n, n), dtype=complex)
-    v = vec(rho0)
-    prev_t = 0.0
-    for i, t in enumerate(times):
-        v = step(v, t - prev_t)
-        prev_t = t
-        states[i] = unvec(v, n)
-
-    moments = {k: np.empty(len(times)) for k in
-               ("x", "p", "x2", "p2", "n", "purity", "trace", "min_eig")}
-    max_tr = 0.0
-    max_herm = 0.0
-    for i, rho in enumerate(states):
-        herm = np.abs(rho - rho.conj().T).max()
-        tr = np.trace(rho)
-        max_herm = max(max_herm, herm)
-        max_tr = max(max_tr, abs(tr - 1))
-        moments["x"][i] = np.trace(x_op @ rho).real
-        moments["p"][i] = np.trace(p_op @ rho).real
-        moments["x2"][i] = np.trace(x_op @ x_op @ rho).real
-        moments["p2"][i] = np.trace(p_op @ p_op @ rho).real
-        moments["n"][i] = np.trace(num @ rho).real
-        moments["purity"][i] = np.trace(rho @ rho).real
-        moments["trace"][i] = tr.real
-        moments["min_eig"][i] = np.linalg.eigvalsh(
-            (rho + rho.conj().T) / 2).min()
-
-    if max_tr > 1e-8 or max_herm > 1e-8:
+    max_tr = float(np.abs(np.trace(states, axis1=1, axis2=2) - 1).max())
+    max_herm = float(np.abs(states - states.conj().transpose(0, 2, 1)).max())
+    if not (max_tr <= 1e-8 and max_herm <= 1e-8):  # NaN is a breach too
         warnings.warn(
             f"trajectory tolerance breach: |trace-1| up to {max_tr:.2e}, "
             f"hermiticity defect up to {max_herm:.2e} (budget 1e-08); "
             "likely truncation leakage, raise the cutoff", stacklevel=2)
-    return Trajectory(times, states, moments, max_tr, max_herm)
+    return Trajectory(times, states, observables(states), max_tr, max_herm)
 
 
 def steady_state(K, return_info=False):
@@ -206,7 +196,7 @@ def steady_state(K, return_info=False):
             evals = None
             k *= 2
     if evals is None:  # the dense spectrum decides
-        evals, evecs = np.linalg.eig(_dense(mat))
+        evals, evecs = np.linalg.eig(mat.toarray())
     near_null = np.abs(evals) < 1e-8
     if near_null.sum() != 1:
         raise DegenerateKernelError(
@@ -236,7 +226,7 @@ def stability_abscissa(K):
     """max Re(lambda) over the spectrum of -K: positive values mean the
     truncated propagator grows somewhere (an artifact of cutting off a
     shear generator, seen for d comparable to gamma)."""
-    return float(np.linalg.eigvals(-_dense(_matrix_and_dim(K)[0])).real.max())
+    return float(np.linalg.eigvals(-_matrix_and_dim(K)[0].toarray()).real.max())
 
 
 def form_invariance(kind, p, params):
@@ -336,14 +326,14 @@ def expectation_invariance_check(seq, o, rho):
 
 
 def _matrix_and_dim(K):
+    """The sparse matrix of K, a SuperOperator or a sparse matrix, and the
+    cutoff n of its n^2 x n^2 shape."""
     if isinstance(K, SuperOperator):
         return K.csr, K.n
-    mat = K if sparse.issparse(K) else np.asarray(K)
-    n = math.isqrt(mat.shape[0])
-    if n * n != mat.shape[0] or mat.shape[0] != mat.shape[1]:
+    if not sparse.issparse(K):
+        raise TypeError("generator must be a sparse matrix or a "
+                        "SuperOperator")
+    n = math.isqrt(K.shape[0])
+    if n * n != K.shape[0] or K.shape[0] != K.shape[1]:
         raise ValueError("generator must be square with a square dimension")
-    return mat, n
-
-
-def _dense(mat):
-    return mat.toarray() if sparse.issparse(mat) else mat
+    return K, n

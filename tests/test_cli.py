@@ -114,6 +114,8 @@ def test_evolve_rejects_bad_configurations(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["evolve", "--model", "kl", "--t-max", "-1",
                  "--out", out]) == 2
+    assert main(["evolve", "--model", "kl", "--steps", "0",
+                 "--out", out]) == 2
     assert main(["evolve", "--model", "kl", "--init", "fock:30",
                  "--out", out]) == 2
     assert main(["evolve", "--model", "kl", "--init", "bananas",
@@ -282,6 +284,26 @@ def test_cutoff_below_one_is_rejected(tmp_path, capsys, command, cutoff):
     code, _ = run_json(tmp_path, command + ["--fock-dim", cutoff])
     assert code == 2
     assert "--fock-dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["steady", "--model", "cl", "--b", "inf"], "--b"),
+    (["steady", "--model", "cl", "--gamma", "nan"], "--gamma"),
+    (["steady", "--model", "cl", "--omega0", "inf"], "--omega0"),
+    (["verify", "--fock-dim", "8", "--tol", "nan"], "--tol"),
+    (["map", "--invariance", "thermal", "--model", "kl", "--alpha", "nan"],
+     "--alpha"),
+    (["map", "--from", "kl", "--to", "cl", "--gamma", "inf"], "--gamma"),
+    (["domain", "--kind", "hpz", "--phi", "nan"], "--phi"),
+    (["evolve", "--model", "kl", "--t-max", "inf"], "--t-max"),
+    (["domain", "--kind", "thermal", "--b", "inf"], "--b"),
+    (["evolve", "--model", "kl", "--init", "gibbs:nan"], "--init"),
+    (["evolve", "--model", "kl", "--init", "coherent:inf"], "--init")])
+def test_non_finite_inputs_are_rejected(tmp_path, capsys, argv, option):
+    code, report = run_json(tmp_path, argv)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and "finite" in err
 
 
 def test_steady_hpz_report(tmp_path):

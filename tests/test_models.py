@@ -62,6 +62,12 @@ def test_params_validation():
         ModelParams("KL", 1.0, 0.1, 1.0, 0.3)
     with pytest.raises(ValueError, match="no diffusion"):
         ModelParams("CL", 1.0, 0.1, 1.0, 0.3)
+    for field, bad in (("omega0", math.inf), ("gamma", math.nan),
+                       ("b", math.inf), ("d", -math.inf)):
+        kw = {"model": "HPZ", "omega0": 1.0, "gamma": 0.1, "b": 1.0,
+              "d": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams(**kw)
 
 
 def test_thermal_b():
@@ -77,23 +83,21 @@ def test_evolve_input_validation():
     n = 6
     K = model_generator(ModelParams("KL", 1.0, 0.4, 1.0), n)
     rho0 = vacuum_projector(n)
-    with pytest.raises(ValueError, match="nonempty"):
-        evolve(K, rho0, [])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        evolve(K, rho0, [0.0, 2.0, 1.0])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        evolve(K, rho0, [-1.0, 0.0])
-    with pytest.raises(ValueError, match="1-d"):
-        evolve(K, rho0, [[0.0, 1.0]])
+    for t_max, steps in ((0.0, 10), (-1.0, 10), (math.nan, 10), (1.0, 0),
+                         (1.0, -2)):
+        with pytest.raises(ValueError, match="need t-max > 0 and steps >= 1"):
+            evolve(K, rho0, t_max, steps)
     with pytest.raises(ValueError, match="shape"):
-        evolve(K, vacuum_projector(n + 1), [0.0, 1.0])
+        evolve(K, vacuum_projector(n + 1), 1.0, 1)
+    with pytest.raises(TypeError, match="sparse matrix"):
+        evolve(K.mat, rho0, 1.0, 1)
 
 
 def test_evolve_at_t0_returns_the_initial_state():
-    n = 8
+    n = 16
     K = model_generator(ModelParams("CL", 1.0, 0.4, 1.0), n)
     rho0 = fock_projector(1, n)
-    traj = evolve(K, rho0, [0.0])
+    traj = evolve(K, rho0, 1.0, 1)
     assert np.abs(traj.states[0] - rho0).max() == 0.0
     assert traj.moments["n"][0] == pytest.approx(1.0, abs=1e-12)
 
@@ -102,19 +106,26 @@ def test_evolve_semigroup_split():
     n = 12
     K = model_generator(ModelParams("KL", 1.0, 0.4, 0.8), n)
     rho0 = fock_projector(1, n)
-    traj = evolve(K, rho0, [0.0, 1.0, 2.0])
-    resumed = evolve(K, traj.states[1], [0.0, 1.0])
+    traj = evolve(K, rho0, 2.0, 2)
+    resumed = evolve(K, traj.states[1], 1.0, 1)
     assert np.abs(resumed.states[1] - traj.states[2]).max() < 1e-12
 
 
-def test_evolve_reuses_the_propagator_across_a_linspace(monkeypatch):
-    # the steps of linspace(0, 50, 1001) take 11 distinct float values
-    n = 14
-    K = model_generator(ModelParams("KL", 1.0, 0.4, 0.6), n)
-    times = np.linspace(0, 50, 1001)
+@pytest.mark.parametrize("t_max, steps", [(50.0, 100), (50.0, 1000)])
+@pytest.mark.parametrize("p", [ModelParams("KL", 1.0, 0.4, 0.6),
+                               ModelParams("CL", 1.0, 0.4, 0.6),
+                               ModelParams("HPZ", 1.0, 0.4, 0.6, 0.1)],
+                         ids=["KL", "CL", "HPZ"])
+def test_evolve_matches_a_per_step_reference(monkeypatch, p, t_max, steps):
+    n = 12
+    K = model_generator(p, n)
     rho0 = fock_projector(1, n)
+    times = np.linspace(0.0, t_max, steps + 1)
 
+    # one exponential per distinct float step of the grid; the steps of
+    # the 1000-step grid differ in their last bits
     exact = {dt: expm(-dt * K.mat) for dt in set(np.diff(times))}
+    assert steps < 1000 or len(exact) > 1
     v = rho0.reshape(-1)
     want = [rho0]
     for dt in np.diff(times):
@@ -128,16 +139,38 @@ def test_evolve_reuses_the_propagator_across_a_linspace(monkeypatch):
         return expm(a)
 
     monkeypatch.setattr(models, "expm", counting_expm)
-    traj = evolve(K, rho0, times)
-    assert len(exact) > 1 and len(calls) == 1
+    traj = evolve(K, rho0, t_max, steps)
+    assert len(calls) == 1
+    assert np.array_equal(traj.times, times)
     assert np.abs(traj.states - np.array(want)).max() < 1e-12
+
+    x, mom, num = position(n), momentum(n), number(n)
+    formulas = {
+        "x": lambda r: np.trace(x @ r).real,
+        "p": lambda r: np.trace(mom @ r).real,
+        "x2": lambda r: np.trace(x @ x @ r).real,
+        "p2": lambda r: np.trace(mom @ mom @ r).real,
+        "n": lambda r: np.trace(num @ r).real,
+        "purity": lambda r: np.trace(r @ r).real,
+        "trace": lambda r: np.trace(r).real,
+        "min_eig": lambda r: np.linalg.eigvalsh((r + r.conj().T) / 2).min(),
+    }
+    assert list(traj.moments) == list(formulas)
+    for key, f in formulas.items():
+        assert np.array_equal(traj.moments[key],
+                              [f(r) for r in traj.states]), key
+    # |z| of a complex array and of a complex scalar may differ by an ulp
+    assert traj.max_trace_violation == pytest.approx(
+        max(abs(np.trace(r) - 1) for r in traj.states), rel=1e-15)
+    assert traj.max_herm_violation == max(
+        np.abs(r - r.conj().T).max() for r in traj.states)
 
 
 def test_evolve_relaxes_to_the_thermal_state():
     n = 20
     p = ModelParams("KL", 1.0, 0.5, 0.8)
     K = model_generator(p, n)
-    traj = evolve(K, fock_projector(1, n), [0.0, 60.0])
+    traj = evolve(K, fock_projector(1, n), 60.0, 1)
     rho = traj.states[-1]
     lam = (2 * p.b - 1) / (2 * p.b + 1)
     pops = np.diag(rho).real
@@ -152,7 +185,7 @@ def test_evolve_warns_when_truncation_leaks():
     n = 8
     K = model_generator(ModelParams("KL", 1.0, 0.4, 1.0), n)
     with pytest.warns(UserWarning, match="truncation leakage"):
-        traj = evolve(K, vacuum_projector(n), [0.0, 50.0])
+        traj = evolve(K, vacuum_projector(n), 50.0, 1)
     assert traj.max_trace_violation > 1e-8
 
 
@@ -188,7 +221,7 @@ def test_steady_state_rejects_a_degenerate_kernel():
     # pure rotation: every Fock projector is stationary
     n = 6
     K = build_generator(CoefficientVector(2, 0, 0, 0, 0, 0, 0),
-                        ten_generators(n), n)
+                        ten_generators(n, dense=False), n)
     with pytest.raises(DegenerateKernelError, match="kernel is 6-dim"):
         steady_state(K)
 
