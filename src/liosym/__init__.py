@@ -9,12 +9,12 @@ The package is organized bottom-up:
   generators  the ten bilinear generators, their commutation table,
               generic dynamical generators, trace identities
   fourdim     the exact 4x4 ladder representation, symplectic checks
-  transforms  exp(pJ) transformation steps, coefficient maps, state
-              builders (thermal dilation, displacements)
+  transforms  exp(pJ) transformation steps, coefficient maps, the
+              thermal dilation of the vacuum
+  gaussian    stationary Gaussians, the five parameter flows,
+              positivity domains, position-space residuals
   models      the three master-equation families, evolution, steady
-              states, form invariance, cross-model maps
-  gaussian    stationary Gaussians, positivity, transformation domains,
-              position-space residuals
+              states, form invariance and cross-model maps
   checks      the identity suite of `liosym verify`, one ordered table of
               check groups on one sparse generator set
   cli         command-line front end (liosym verify | evolve | map |
@@ -29,8 +29,7 @@ from .gaussian import (GaussianParams, StationaryGaussian, exact_edges,
                        fock_from_gaussian, gaussian_from_bd, hermite_psi,
                        is_positive, numeric_positivity_boundary,
                        position_rep_residual, positivity_boundary,
-                       printed_forms, transformed_gaussian,
-                       uncertainty_product)
+                       printed_forms, transformed_gaussian)
 from .generators import (COMMUTATION_TABLE, CONSERVING, GENERATOR_NAMES,
                          NONCONSERVING, UNITARY, CoefficientVector,
                          build_generator, ladder_superops, ten_generators)
@@ -39,12 +38,9 @@ from .liouville import (SuperOperator, associate_super, make_superoperator,
 from .models import (DegenerateKernelError, ModelParams, Trajectory, evolve,
                      expectation_invariance_check, form_invariance,
                      map_cl_to_hpz, map_kl_to_cl, model_coefficients,
-                     model_generator, observables, stability_abscissa,
-                     steady_state, thermal_b)
+                     model_generator, observables, steady_state)
 from .transforms import (TransformSequence, TransformStep, apply_sequence,
-                         coefficient_map, derivative_map,
-                         diagonalize_frequency, displacement_superops,
-                         gibbs_from_vacuum, superop_similarity,
-                         vacuum_annihilating_K)
+                         coefficient_map, derivative_map, gibbs_from_vacuum,
+                         superop_similarity)
 
 __version__ = "0.1.0"

@@ -99,8 +99,18 @@ def _initial_state(spec, n):
         z = float(arg) if kind == "gibbs" else complex(arg)
         if not np.isfinite(z):
             raise ValueError(f"--init {spec}: the argument must be finite")
-        return (gibbs_from_vacuum(z, n)[0] if kind == "gibbs"
-                else coherent_projector(z, n))
+        # amplitudes beyond floating range overflow, or underflow into a
+        # 0/0 normalization: both end in the diagnosis below
+        try:
+            with np.errstate(all="ignore"):
+                rho = (gibbs_from_vacuum(z, n) if kind == "gibbs"
+                       else coherent_projector(z, n))
+        except OverflowError:
+            rho = np.full((n, n), np.nan)
+        if not np.isfinite(rho).all():
+            raise ValueError(f"--init {spec}: the state at cutoff {n} is "
+                             "not finite in floating point")
+        return rho
     raise ValueError(f"unknown initial state {spec!r}")
 
 
@@ -153,37 +163,48 @@ def _map_report(p, p2, seq):
     }
 
 
+# the options that set each map's transformation parameters
+MAP_OPTIONS = {"invariance:thermal": ("alpha",),
+               "invariance:translate": ("beta",),
+               "invariance:hpz": ("phi", "xi"),
+               "kl->cl": ("gamma", "omega0"), "cl->hpz": ("zeta",)}
+
+
 def cmd_map(args):
     from .models import form_invariance, map_cl_to_hpz, map_kl_to_cl
     if args.invariance:
-        p = _model_params(args)
-        if args.invariance == "thermal":
-            pprime, seq = form_invariance("thermal", p, args.alpha)
-        elif args.invariance == "translate":
-            pprime, seq = form_invariance("translate", p, args.beta)
-        else:
-            pprime, seq = form_invariance("hpz", p, (args.phi, args.xi))
-        report = {"mode": f"invariance:{args.invariance}",
-                  **_map_report(p, pprime, seq)}
+        mode = f"invariance:{args.invariance}"
     else:
-        args.model = args.src
-        if (args.src, args.dst) == ("kl", "cl"):
-            p = _model_params(args)
-            pprime, seq = map_kl_to_cl(p)
-        elif (args.src, args.dst) == ("cl", "hpz"):
-            p = _model_params(args)
-            pprime, seq = map_cl_to_hpz(p, args.zeta)
-        else:
+        mode = f"{args.src}->{args.dst}"
+        if mode not in MAP_OPTIONS:
             raise ValueError(f"no map from {args.src!r} to {args.dst!r}; "
                              "available: kl->cl, cl->hpz")
-        report = {"mode": f"{args.src}->{args.dst}",
-                  **_map_report(p, pprime, seq)}
-    _emit_json(report, args.out)
+        args.model = args.src
+    p = _model_params(args)
+    try:
+        if mode == "invariance:hpz":
+            pprime, seq = form_invariance("hpz", p, (args.phi, args.xi))
+        elif args.invariance:
+            pprime, seq = form_invariance(
+                args.invariance, p, getattr(args, MAP_OPTIONS[mode][0]))
+        elif mode == "kl->cl":
+            pprime, seq = map_kl_to_cl(p)
+        else:
+            pprime, seq = map_cl_to_hpz(p, args.zeta)
+    except OverflowError as exc:
+        named = ", ".join(f"--{k} {getattr(args, k):g}"
+                          for k in MAP_OPTIONS[mode])
+        raise ValueError(f"{named}: the transformed parameters are not "
+                         f"finite ({exc})") from None
+    _emit_json({"mode": mode, **_map_report(p, pprime, seq)}, args.out)
     return 0
 
 
 # ------------------------------------------------------------------ domain
 def cmd_domain(args):
+    if args.kind == "kl2cl" and args.d != 0:
+        raise ValueError(f"--d {args.d:g}: kl2cl maps a KL base, which has "
+                         "no diffusion coefficient d")
     s = gaussian.StationaryGaussian(args.b, args.d, args.omega0)
     exact = gaussian.exact_edges(args.kind, s, phi=args.phi)
     numeric = gaussian.positivity_boundary(args.kind, s, n=args.fock_dim,
@@ -301,9 +322,7 @@ def build_parser():
 
     d = sub.add_parser("domain", help="positivity edges, exact and "
                        "Fock-scanned", parents=[common])
-    d.add_argument("--kind", required=True,
-                   choices=["thermal", "translate", "hpz", "kl2cl",
-                            "cl2hpz"])
+    d.add_argument("--kind", required=True, choices=list(gaussian.EDGES))
     d.add_argument("--b", type=float, default=1.0)
     d.add_argument("--d", type=float, default=0.0)
     d.add_argument("--omega0", type=float, default=1.0)

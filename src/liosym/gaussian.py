@@ -11,14 +11,15 @@ state is a positive operator exactly when mu > 0 and nu >= 0.
 
 Positivity of a transformed state is decided two ways.  The exact
 criterion is the reference: each family's parameter flow
-(transformed_gaussian) gives the transformed Gaussian, which is positive
-exactly when w' > 0 and 2b'w' >= 1, so every domain edge is a root of
-2b'w' = 1 along the flow, for any base (exact_edges).  The truncation
-cross-check rebuilds the transformed state in the Fock basis by
-quadrature and bisects the sign change of its smallest eigenvalue
-(positivity_boundary); a test pins the thermal flow to the literal
-exp(alpha O0) action on the Fock state.  The paper's printed conditions
-are read against the exact edges by printed_forms.
+(transformed_gaussian, the one copy of the five flows, from which the
+maps in models also take their target parameters) gives the transformed
+Gaussian, which is positive exactly when w' > 0 and 2b'w' >= 1, so
+every domain edge is a root of 2b'w' = 1 along the flow, for any base
+(exact_edges).  The truncation cross-check rebuilds the transformed
+state in the Fock basis by quadrature and bisects the sign change of its
+smallest eigenvalue (positivity_boundary); a test pins the thermal flow
+to the literal exp(alpha O0) action on the Fock state.  The paper's
+printed conditions are read against the exact edges by printed_forms.
 
 Everything is dimensionless (m = omega0 = hbar = 1 internally); x is the
 scaled position sqrt(m omega0) q.
@@ -92,12 +93,6 @@ def is_positive(g):
     return g.mu > 0 and g.nu >= -POSITIVITY_SLACK
 
 
-def uncertainty_product(s):
-    """<x^2><p^2> = b(b + d/2 omega0); >= 1/4 exactly on the positive
-    domain (the boundary nu = 0 saturates it)."""
-    return s.b * (s.b + s.d / (2 * s.omega0))
-
-
 # ------------------------------------------------------------- Fock route
 def hermite_psi(nmax, x):
     """Oscillator eigenfunctions psi_0 .. psi_{nmax-1} on the grid x,
@@ -160,8 +155,10 @@ BRACKET_HALF_WIDTH = 0.4  # the Fock scan's bracket around each exact edge
 def transformed_gaussian(kind, s, p, phi=0.0):
     """Stationary-Gaussian parameters after the kind's coefficient flow.
 
-    These are the closed parameter flows of the five families; combined
-    with fock_from_gaussian they give the transformed state without ever
+    The package's one copy of the five (b', d', omega0') flows, which
+    the maps in models also read.  kl2cl rejects a base with d != 0: KL
+    has none, and iM1 then L2+ turn it into a correlated state.  With
+    fock_from_gaussian the flows give the transformed state without ever
     exponentiating a truncated shear generator (whose tails are wildly
     amplified at any workable cutoff).
     """
@@ -174,6 +171,9 @@ def transformed_gaussian(kind, s, p, phi=0.0):
     if kind == "cl2hpz":
         return StationaryGaussian(b + p / 2, d - 2 * w0 * p, w0)
     if kind == "kl2cl":
+        if d != 0.0:
+            raise ValueError(f"kl2cl maps a KL base, which has no diffusion "
+                             f"coefficient d; got d = {d:g}")
         return StationaryGaussian(b / math.cosh(p), d, w0 * math.cosh(p))
     if kind == "hpz":
         ep, em = math.exp(phi), math.exp(-phi)
@@ -234,7 +234,7 @@ def printed_forms(kind, s, edges, phi=0.0, gamma=None):
     2b e^{2 phi}), kept as the record that the scan disagrees with it.
     kl2cl with gamma: the map's own theta = asinh(-gamma / 2 omega0),
     whether |theta| lies within the edge, and the equivalent damping form
-    eta >= gamma/(2 omega0) sqrt(2b/w) (gamma/(2 omega0) at d = 0).
+    eta >= gamma/(2 omega0).
     """
     if kind == "thermal":
         return {"printed": math.log(2 * s.b)}
@@ -243,8 +243,7 @@ def printed_forms(kind, s, edges, phi=0.0, gamma=None):
     if kind == "kl2cl" and gamma is not None:
         theta = math.asinh(-gamma / (2 * s.omega0))
         return {"theta_model": theta,
-                "eta_min": gamma / (2 * s.omega0)
-                * math.sqrt(2 * s.b / s.width),
+                "eta_min": gamma / (2 * s.omega0),
                 "within_domain": abs(theta) <= edges["boundary"]}
     return {}
 

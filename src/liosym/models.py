@@ -27,6 +27,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .fock import momentum, number, position
+from .gaussian import StationaryGaussian, transformed_gaussian
 from .generators import CoefficientVector, build_generator, ten_generators
 from .liouville import SuperOperator, unvec, vec
 from .transforms import TransformSequence
@@ -86,18 +87,6 @@ def model_generator(p, n, gens=None):
     if gens is None:
         gens = ten_generators(n, dense=False)
     return SuperOperator(build_generator(model_coefficients(p), gens, n), n)
-
-
-def thermal_b(omega0, temperature):
-    """Thermal parameter b = (1/2) coth(omega0 / 2T), k_B = 1.
-
-    T = 0 gives the vacuum value 1/2; for T >> omega0, b -> T/omega0.
-    """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
-    if temperature == 0:
-        return 0.5
-    return 0.5 / math.tanh(omega0 / (2 * temperature))
 
 
 @dataclass
@@ -222,11 +211,16 @@ def steady_state(K, return_info=False):
     return rho, info
 
 
-def stability_abscissa(K):
-    """max Re(lambda) over the spectrum of -K: positive values mean the
-    truncated propagator grows somewhere (an artifact of cutting off a
-    shear generator, seen for d comparable to gamma)."""
-    return float(np.linalg.eigvals(-_matrix_and_dim(K)[0].toarray()).real.max())
+def _flowed(p, kind, param, phi=0.0, model=None):
+    """p carried along the kind's parameter flow
+    (gaussian.transformed_gaussian), as the target family's ModelParams.
+    A flow that leaves floating range raises OverflowError."""
+    t = transformed_gaussian(kind, StationaryGaussian(p.b, p.d, p.omega0),
+                             param, phi)
+    if not all(map(math.isfinite, (t.b, t.d, t.omega0))):
+        raise OverflowError(f"b' = {t.b:g}, d' = {t.d:g}, "
+                            f"omega0' = {t.omega0:g}")
+    return replace(p, model=model or p.model, omega0=t.omega0, b=t.b, d=t.d)
 
 
 def form_invariance(kind, p, params):
@@ -238,20 +232,18 @@ def form_invariance(kind, p, params):
     giving b' = b e^phi + xi e^-phi, d'/2omega0 = (d/2omega0) e^phi
     - xi e^-phi.
 
-    Returns the transformed ModelParams and the step sequence whose
+    Returns the transformed ModelParams, from the kind's flow in
+    gaussian.transformed_gaussian, and the step sequence whose
     superoperator conjugation maps one generator to the other.
     """
     if kind == "thermal":
         alpha = float(params)
-        seq = TransformSequence([("O0", alpha)])
-        new = replace(p, b=p.b * math.exp(alpha), d=p.d * math.exp(alpha))
-        return new, seq
+        return _flowed(p, kind, alpha), TransformSequence([("O0", alpha)])
     if kind == "translate":
         if p.model != "CL":
             raise ValueError("translate form invariance holds for CL only")
         beta = float(params)
-        seq = TransformSequence([("O+", beta)])
-        return replace(p, b=p.b + beta / 2), seq
+        return _flowed(p, kind, beta), TransformSequence([("O+", beta)])
     if kind == "hpz":
         if p.model != "HPZ":
             raise ValueError("the two-parameter form invariance holds for "
@@ -261,10 +253,7 @@ def form_invariance(kind, p, params):
         # splits into single-generator steps
         seq = TransformSequence([("iM2", phi), ("O+", xi), ("L1+", xi),
                                  ("O0", phi), ("iM2", -phi)])
-        ep, em = math.exp(phi), math.exp(-phi)
-        b_new = p.b * ep + xi * em
-        d_new = 2 * p.omega0 * ((p.d / (2 * p.omega0)) * ep - xi * em)
-        return replace(p, b=b_new, d=d_new), seq
+        return _flowed(p, kind, xi, phi), seq
     raise ValueError(f"unknown invariance kind {kind!r}")
 
 
@@ -280,9 +269,7 @@ def map_kl_to_cl(p):
     theta = math.asinh(-p.gamma / (2 * p.omega0))
     eta = -2 * p.b * math.tanh(theta)
     seq = TransformSequence([("iM1", theta), ("L2+", eta)])
-    ch = math.cosh(theta)
-    new = ModelParams("CL", p.omega0 * ch, p.gamma, p.b / ch)
-    return new, seq
+    return _flowed(p, "kl2cl", theta, model="CL"), seq
 
 
 def map_cl_to_hpz(p, zeta):
@@ -302,9 +289,7 @@ def map_cl_to_hpz(p, zeta):
             f"{bound:.6g}; the mapped stationary state is not a density "
             "matrix", stacklevel=2)
     seq = TransformSequence([("L1+", zeta)])
-    new = ModelParams("HPZ", p.omega0, p.gamma, p.b + zeta / 2,
-                      -2 * p.omega0 * zeta)
-    return new, seq
+    return _flowed(p, "cl2hpz", zeta, model="HPZ"), seq
 
 
 def expectation_invariance_check(seq, o, rho):

@@ -12,7 +12,8 @@ coefficients; coefficient_map gives the closed forms for a single step.
 The four unitary steps exponentiate to operator-space rotations; the three
 conserving hermitian steps rescale and shear the g coefficients linearly
 (their mutual brackets vanish, so those maps are exactly linear in the
-parameter).
+parameter).  gibbs_from_vacuum builds the thermal state that the O0
+dilation makes of the vacuum.
 """
 
 import math
@@ -21,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
-from .fock import annihilation, vacuum_projector
-from .generators import (CONSERVING, UNITARY, CoefficientVector,
-                         build_generator, ladder_superops, ten_generators)
-from .liouville import make_superoperator, vec
+from .fock import thermal_state
+from .generators import CONSERVING, UNITARY, CoefficientVector, ten_generators
 
 ALLOWED = UNITARY + CONSERVING
 
@@ -175,15 +173,15 @@ def apply_sequence_to_vec(seq, v, n, gens=None):
     return seq.matrix(n, gens) @ v
 
 
-# ------------------------------------------------------------ state builders
+# ------------------------------------------------------------ state builder
 def gibbs_from_vacuum(alpha, n):
-    """Thermal state exp(alpha O0)|0><0|, trace-normalized.
+    """Thermal state exp(alpha O0)|0><0|, trace-normalized, in closed form.
 
-    Populations are (1-q) q^k with q = (e^alpha - 1)/(e^alpha + 1).  The
-    raw exponential is not trace-normalized; the normalization factor
-    (trace before renormalizing) is returned alongside the state.
-    Warns when the discarded tail q^n is above 1e-12.  The sparse O0
-    acts on the vacuum through expm_multiply, never as a dense matrix.
+    The dilation carries the vacuum to the geometric state with
+    b = e^alpha / 2: populations (1-q) q^k with
+    q = (e^alpha - 1)/(e^alpha + 1), renormalized on the retained levels
+    (fock.thermal_state).  A test checks it against exp(alpha O0) acting
+    on the vacuum.  Warns when the discarded tail q^n is above 1e-12.
     """
     if alpha < 0:
         raise ValueError("dilation parameter must be >= 0")
@@ -192,84 +190,4 @@ def gibbs_from_vacuum(alpha, n):
         warnings.warn(
             f"cutoff {n} retains a geometric tail q^n = {q**n:.2e} > 1e-12; "
             "populations will be visibly truncated", stacklevel=2)
-    O0 = ten_generators(n, dense=False)["O0"]
-    v = expm_multiply(alpha * O0, vec(vacuum_projector(n)))
-    rho = v.reshape(n, n)
-    rho = (rho + rho.conj().T) / 2
-    factor = np.trace(rho).real
-    return rho / factor, factor
-
-
-def displacement_superops(z, y, n):
-    """Displacement maps built from the ladder superoperators.
-
-    D1(z) = exp(z a1d + conj(z) a2d)   (raises both spaces)
-    D2(y) = exp(y a1 + conj(y) a2)     (lowers both spaces)
-    D(z)  = u (.) u†  with u = exp(z a† - conj(z) a): the unitary
-            factorizable displacement.
-
-    The product D1(z) D2(-conj(z)) equals exp(|z|^2) D(z): the two raising
-    and lowering factors commute up to a scalar, so the plain product is
-    adjoint-symmetric but normalized off unity; D is built directly in the
-    unitary form.
-    """
-    if abs(z) > 2 or abs(y) > 2:
-        raise ValueError("displacement amplitude above 2 is not resolvable "
-                         "at working cutoffs")
-    L = ladder_superops(n)
-    D1 = expm((z * L["a1d"] + np.conj(z) * L["a2d"]).toarray())
-    D2 = expm((y * L["a1"] + np.conj(y) * L["a2"]).toarray())
-    a = annihilation(n)
-    u = expm(z * a.conj().T - np.conj(z) * a)
-    D = make_superoperator(u, u.conj().T)
-    return {"D1": D1, "D2": D2, "D": D}
-
-
-def vacuum_annihilating_K(h0, g0, h1, h2):
-    """Coefficients of the four-parameter family annihilating the vacuum:
-
-        h0 iL0 + g0 (O0 - 1/2 - O+) + h1 (iM1 - L2+) + h2 (iM2 + L1+)
-    """
-    return CoefficientVector(h0, h1, h2, g0, -g0, h2, -h1)
-
-
-def displaced_vacuum_terms(c, z, n):
-    """The linear terms X and assoc(X) of D K D^{-1} = K + X + assoc(X)
-    for K with vacuum-annihilating coefficients c.
-
-    X = 1/2 [z (g0 + i h0) + conj(z)(h2 + i h1)] (a2 - a1d), and its
-    association is the conjugate coefficient times (a1 - a2d); both sparse.
-    """
-    c = CoefficientVector(*c)
-    L = ladder_superops(n)
-    w = 0.5 * (z * (c.g0 + 1j * c.h0) + np.conj(z) * (c.h2 + 1j * c.h1))
-    X = w * (L["a2"] - L["a1d"])
-    Xa = np.conj(w) * (L["a1"] - L["a2d"])
-    return X, Xa
-
-
-def displaced_vacuum_generator(c, z, n, gens=None):
-    """D(z) K D(z)^{-1} for a vacuum-annihilating K: the generator whose
-    stationary state is the displaced vacuum (coherent state)."""
-    if gens is None:
-        gens = ten_generators(n)
-    K = build_generator(c, gens, n)
-    D = displacement_superops(z, 0.0, n)["D"]
-    return D @ K @ D.conj().T  # D unitary: inverse = adjoint
-
-
-def diagonalize_frequency(h0, h1):
-    """Rotation angle removing the h1 component of a generic generator.
-
-    A hyperbolic iM2 step with tanh(phi) = h1/h0 maps (h0, h1) to
-    (sqrt(h0^2 - h1^2), 0); in oscillator terms (h0 = 2 omega0) the
-    renormalized frequency is sqrt(omega0^2 - h1^2/4).  Requires
-    |h1| < |h0|; at or beyond the boundary the frequency degenerates.
-    """
-    if abs(h1) >= abs(h0):
-        raise ValueError("cannot diagonalize: |h1| >= |h0| (degenerate or "
-                         "imaginary renormalized frequency)")
-    phi = math.atanh(h1 / h0)
-    omega0 = h0 / 2
-    omega0_prime = math.sqrt(omega0 ** 2 - h1 ** 2 / 4)
-    return omega0_prime, phi
+    return thermal_state(math.exp(alpha) / 2, n)

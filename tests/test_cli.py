@@ -225,7 +225,7 @@ def test_domain_cl2hpz_scans_both_edges(tmp_path):
     assert report["agree"]
 
 
-def test_domain_edges_of_a_base_with_d(tmp_path):
+def test_domain_edges_of_a_base_with_d(tmp_path, capsys):
     # b = 1, d = 0.3, omega0 = 1, so w = 2.3: each edge is a root of
     # 2b'w' = 1 along the kind's flow
     w = 2.3
@@ -235,8 +235,6 @@ def test_domain_edges_of_a_base_with_d(tmp_path):
         "translate": {"boundary": (-4.3 + math.sqrt(4.3 ** 2 - 4 * 3.6))
                       / 2},
         "hpz": {"boundary": 1 / (2 * w) - 1},
-        # cosh^2 theta = 2bw
-        "kl2cl": {"boundary": math.acosh(math.sqrt(2 * w))},
         # (2 + zeta)(2.3 - zeta) = 1
         "cl2hpz": {"lower": (0.3 - math.sqrt(0.09 + 14.4)) / 2,
                    "upper": (0.3 + math.sqrt(0.09 + 14.4)) / 2},
@@ -255,6 +253,11 @@ def test_domain_edges_of_a_base_with_d(tmp_path):
             # the report carries 12 significant digits
             assert abs(report["exact"][key] - edge) <= 1e-11, (kind, key)
             assert abs(report["numeric"][key] - edge) <= 1e-3, (kind, key)
+    # kl2cl maps a KL base, and KL has no d
+    code, report = run_json(tmp_path, ["domain", "--kind", "kl2cl", "--b", "1",
+                                       "--d", "0.3"], name="kl2cl.json")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: --d 0.3: ")
 
 
 def test_domain_hpz_starts_inside_the_domain(tmp_path):
@@ -298,7 +301,17 @@ def test_cutoff_below_one_is_rejected(tmp_path, capsys, command, cutoff):
     (["evolve", "--model", "kl", "--t-max", "inf"], "--t-max"),
     (["domain", "--kind", "thermal", "--b", "inf"], "--b"),
     (["evolve", "--model", "kl", "--init", "gibbs:nan"], "--init"),
-    (["evolve", "--model", "kl", "--init", "coherent:inf"], "--init")])
+    (["evolve", "--model", "kl", "--init", "coherent:inf"], "--init"),
+    # finite inputs whose results leave floating range
+    (["map", "--invariance", "thermal", "--model", "kl", "--alpha", "710"],
+     "--alpha"),
+    (["map", "--invariance", "hpz", "--model", "hpz", "--d", "0.1",
+      "--phi", "800"], "--phi"),
+    (["map", "--invariance", "thermal", "--model", "hpz", "--d", "0.1",
+      "--b", "1e10", "--alpha", "700"], "--alpha"),
+    (["evolve", "--model", "kl", "--init", "coherent:1e300"], "--init"),
+    (["evolve", "--model", "kl", "--init", "coherent:40", "--fock-dim", "4"],
+     "--init")])
 def test_non_finite_inputs_are_rejected(tmp_path, capsys, argv, option):
     code, report = run_json(tmp_path, argv)
     assert code == 2 and report is None

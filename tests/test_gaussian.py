@@ -10,14 +10,14 @@ from scipy.linalg import expm
 from liosym import (
     ModelParams,
     StationaryGaussian,
+    TransformSequence,
+    apply_sequence,
     exact_edges,
     fock_from_gaussian,
-    form_invariance,
     gaussian_from_bd,
     hermite_psi,
     is_positive,
-    map_cl_to_hpz,
-    map_kl_to_cl,
+    model_coefficients,
     model_generator,
     numeric_positivity_boundary,
     position_rep_residual,
@@ -26,7 +26,6 @@ from liosym import (
     steady_state,
     thermal_state,
     transformed_gaussian,
-    uncertainty_product,
 )
 from liosym.generators import ten_generators
 from liosym.liouville import unvec, vec
@@ -72,8 +71,7 @@ def test_uncertainty_identity_matches_the_predicate():
         s = StationaryGaussian(b, d)
         if abs(s.width) < 1e-3 or abs(2 * b * s.width - 1) < 1e-6:
             continue
-        assert (uncertainty_product(s) >= 0.25) == \
-            is_positive(gaussian_from_bd(s))
+        assert (s.x2 * s.p2 >= 0.25) == is_positive(gaussian_from_bd(s))
         checked += 1
 
 
@@ -106,32 +104,40 @@ def test_fock_from_gaussian_rejects_nonnormalizable_kernels():
         fock_from_gaussian(StationaryGaussian(-0.3), 12)
 
 
-def test_transformed_gaussian_agrees_with_the_model_maps():
-    s = StationaryGaussian(1.0, 0.5)
-    t = transformed_gaussian("thermal", s, math.log(1.5))
-    assert (t.b, t.d) == (pytest.approx(1.5), pytest.approx(0.75))
+THETA = math.asinh(-0.2)  # the KL -> CL rotation at gamma = 0.4, omega0 = 1
 
-    t = transformed_gaussian("translate", StationaryGaussian(1.0), 1.0)
-    assert t.b == pytest.approx(1.5)
 
-    new, _ = map_cl_to_hpz(ModelParams("CL", 1.0, 0.4, 1.0), 0.5)
-    t = transformed_gaussian("cl2hpz", StationaryGaussian(1.0), 0.5)
-    assert (t.b, t.d) == (pytest.approx(new.b), pytest.approx(new.d))
+@pytest.mark.parametrize("kind, model, d, p, phi, target, steps", [
+    ("thermal", "KL", 0.0, 0.4, 0.0, "KL", [("O0", 0.4)]),
+    ("thermal", "CL", 0.0, 0.4, 0.0, "CL", [("O0", 0.4)]),
+    ("thermal", "HPZ", 0.3, 0.4, 0.0, "HPZ", [("O0", 0.4)]),
+    ("translate", "CL", 0.0, 0.7, 0.0, "CL", [("O+", 0.7)]),
+    ("translate", "HPZ", 0.3, 0.7, 0.0, "HPZ", [("O+", 0.7)]),
+    ("hpz", "HPZ", 0.3, 0.3, 0.2, "HPZ",
+     [("iM2", 0.2), ("O+", 0.3), ("L1+", 0.3), ("O0", 0.2), ("iM2", -0.2)]),
+    # the shear of the KL -> CL map at b = 1
+    ("kl2cl", "KL", 0.0, THETA, 0.0, "CL",
+     [("iM1", THETA), ("L2+", -2 * math.tanh(THETA))]),
+    ("cl2hpz", "CL", 0.0, 0.5, 0.0, "HPZ", [("L1+", 0.5)]),
+    ("cl2hpz", "HPZ", 0.3, 0.5, 0.0, "HPZ", [("L1+", 0.5)])])
+def test_each_kind_flows_as_its_sequence(kind, model, d, p, phi, target,
+                                         steps):
+    # conjugating the model by the kind's sequence gives the generator of
+    # the model with the flowed (b', d', omega0')
+    base = ModelParams(model, 1.0, 0.4, 1.0, d)
+    t = transformed_gaussian(kind, StationaryGaussian(base.b, base.d), p, phi)
+    flowed = ModelParams(target, t.omega0, base.gamma, t.b, t.d)
+    got = apply_sequence(TransformSequence(steps), model_coefficients(base))
+    want = model_coefficients(flowed)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
 
-    new, seq = map_kl_to_cl(ModelParams("KL", 1.0, 0.6, 1.0))
-    theta = seq.steps[0].parameter
-    t = transformed_gaussian("kl2cl", StationaryGaussian(1.0), theta)
-    assert t.b == pytest.approx(new.b, abs=1e-14)
-    assert t.omega0 == pytest.approx(new.omega0, abs=1e-14)
 
-    new, _ = form_invariance("hpz", ModelParams("HPZ", 1.0, 0.4, 1.0, 0.5),
-                             (math.log(2.0), 0.5))
-    t = transformed_gaussian("hpz", StationaryGaussian(1.0, 0.5), 0.5,
-                             phi=math.log(2.0))
-    assert (t.b, t.d) == (pytest.approx(new.b), pytest.approx(new.d))
-
+def test_transformed_gaussian_rejects_an_unknown_kind_and_a_kl2cl_d():
     with pytest.raises(ValueError, match="unknown domain kind"):
-        transformed_gaussian("squeeze", s, 0.1)
+        transformed_gaussian("squeeze", StationaryGaussian(1.0), 0.1)
+    # iM1 then L2+ carries a base with d != 0 to a correlated state
+    with pytest.raises(ValueError, match="no diffusion coefficient"):
+        transformed_gaussian("kl2cl", StationaryGaussian(1.0, 0.3), 0.5)
 
 
 def test_domain_bound_values():
@@ -170,11 +176,9 @@ def test_domain_bound_values():
     assert out["theta_model"] == pytest.approx(math.asinh(-0.3), abs=1e-14)
     assert out["eta_min"] == pytest.approx(0.3, abs=1e-14)
     assert out["within_domain"]
-    # with d != 0 the damping form scales by sqrt(2b/w)
-    s3 = StationaryGaussian(1.0, 0.3)
-    out = printed_forms("kl2cl", s3, exact_edges("kl2cl", s3), gamma=0.6)
-    assert out["eta_min"] == pytest.approx(0.3 * math.sqrt(2 / 2.3),
-                                           abs=1e-14)
+    # KL has no d: a kl2cl base with d != 0 has no flow to read
+    with pytest.raises(ValueError, match="no diffusion coefficient"):
+        exact_edges("kl2cl", StationaryGaussian(1.0, 0.3))
     # strong damping on a nearly pure state leaves the domain
     s51 = StationaryGaussian(0.51)
     assert not printed_forms("kl2cl", s51, exact_edges("kl2cl", s51),

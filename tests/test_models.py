@@ -26,12 +26,9 @@ from liosym import (
     momentum,
     number,
     position,
-    stability_abscissa,
     steady_state,
     ten_generators,
-    thermal_b,
     thermal_state,
-    vacuum_annihilating_K,
     vacuum_projector,
 )
 
@@ -68,15 +65,6 @@ def test_params_validation():
               "d": 0.0, field: bad}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ModelParams(**kw)
-
-
-def test_thermal_b():
-    with pytest.raises(ValueError):
-        thermal_b(1.0, -1.0)
-    assert thermal_b(1.0, 0.0) == 0.5
-    # coth(ln 3 / 2) = 2 exactly
-    assert abs(thermal_b(1.0, 1.0 / math.log(3.0)) - 1.0) < 1e-14
-    assert abs(thermal_b(1.0, 100.0) - 100.0) < 0.01
 
 
 def test_evolve_input_validation():
@@ -226,21 +214,6 @@ def test_steady_state_rejects_a_degenerate_kernel():
         steady_state(K)
 
 
-def test_stability_abscissa():
-    n = 20
-    gens = ten_generators(n)
-    for p in [
-        ModelParams("KL", 1.0, 0.4, 0.9),
-        ModelParams("CL", 1.0, 0.4, 0.9),
-        ModelParams("HPZ", 1.0, 0.4, 0.9, 0.1),
-    ]:
-        assert stability_abscissa(model_generator(p, n, gens)) < 1e-6, p.model
-    # d comparable to gamma: the truncated shear block turns unstable,
-    # a cutoff artifact that grows with n rather than shrinking
-    bad = ModelParams("HPZ", 1.0, 0.4, 1.0, 0.5)
-    assert stability_abscissa(model_generator(bad, n, gens)) > 1e-3
-
-
 def test_form_invariance_thermal():
     p = ModelParams("KL", 1.0, 0.4, 1.0)
     new, seq = form_invariance("thermal", p, math.log(1.5))
@@ -381,7 +354,10 @@ def test_steady_state_with_an_exact_null_vector():
     K = model_generator(ModelParams("CL", 1.0, 0.4, 0.5), n)
     rho = steady_state(K)
     assert np.abs(rho - vacuum_projector(n)).max() < 1e-10
-    c = vacuum_annihilating_K(0.8, 0.5, 0.3, -0.2)
+    # h0 iL0 + g0 (O0 - 1/2 - O+) + h1 (iM1 - L2+) + h2 (iM2 + L1+)
+    # annihilates the vacuum for any (h0, g0, h1, h2)
+    h0, g0, h1, h2 = 0.8, 0.5, 0.3, -0.2
+    c = CoefficientVector(h0, h1, h2, g0, -g0, h2, -h1)
     K = build_generator(c, ten_generators(n, dense=False), n)
     rho, info = steady_state(K, return_info=True)
     assert np.abs(rho - vacuum_projector(n)).max() < 1e-12
