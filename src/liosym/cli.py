@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,9 +30,9 @@ from . import fourdim, gaussian
 from .checks import SUITE
 from .fock import coherent_projector, fock_projector
 from .generators import ten_generators
-from .models import (DegenerateKernelError, ModelParams, evolve,
-                     model_coefficients, model_generator, observables,
-                     steady_state)
+from .models import (DegenerateKernelError, InvalidTargetError, ModelParams,
+                     evolve, model_coefficients, model_generator,
+                     observables, steady_state, transformation)
 from .transforms import apply_sequence, gibbs_from_vacuum
 
 DEFAULT_SEED = 20240915
@@ -163,39 +164,34 @@ def _map_report(p, p2, seq):
     }
 
 
-# the options that set each map's transformation parameters
-MAP_OPTIONS = {"invariance:thermal": ("alpha",),
-               "invariance:translate": ("beta",),
-               "invariance:hpz": ("phi", "xi"),
-               "kl->cl": ("gamma", "omega0"), "cl->hpz": ("zeta",)}
+# each map mode: the kind it runs, and the options that set the kind's
+# parameter, named in this order when the transformed model is invalid;
+# the last is the parameter itself, but for kl2cl's theta (kl2cl_theta)
+MAP_MODES = {"invariance:thermal": ("thermal", "alpha"),
+             "invariance:translate": ("translate", "beta"),
+             "invariance:hpz": ("hpz", "phi", "xi"),
+             "kl->cl": ("kl2cl", "gamma", "omega0"),
+             "cl->hpz": ("cl2hpz", "zeta")}
 
 
 def cmd_map(args):
-    from .models import form_invariance, map_cl_to_hpz, map_kl_to_cl
     if args.invariance:
         mode = f"invariance:{args.invariance}"
     else:
         mode = f"{args.src}->{args.dst}"
-        if mode not in MAP_OPTIONS:
+        if mode not in MAP_MODES:
             raise ValueError(f"no map from {args.src!r} to {args.dst!r}; "
                              "available: kl->cl, cl->hpz")
         args.model = args.src
+    kind, *options = MAP_MODES[mode]
     p = _model_params(args)
+    param = (gaussian.kl2cl_theta(args.gamma, args.omega0)
+             if kind == "kl2cl" else getattr(args, options[-1]))
     try:
-        if mode == "invariance:hpz":
-            pprime, seq = form_invariance("hpz", p, (args.phi, args.xi))
-        elif args.invariance:
-            pprime, seq = form_invariance(
-                args.invariance, p, getattr(args, MAP_OPTIONS[mode][0]))
-        elif mode == "kl->cl":
-            pprime, seq = map_kl_to_cl(p)
-        else:
-            pprime, seq = map_cl_to_hpz(p, args.zeta)
-    except OverflowError as exc:
-        named = ", ".join(f"--{k} {getattr(args, k):g}"
-                          for k in MAP_OPTIONS[mode])
-        raise ValueError(f"{named}: the transformed parameters are not "
-                         f"finite ({exc})") from None
+        pprime, seq = transformation(kind, p, param, args.phi)
+    except InvalidTargetError as exc:
+        named = ", ".join(f"--{k} {getattr(args, k):g}" for k in options)
+        raise ValueError(f"{named}: {exc}") from None
     _emit_json({"mode": mode, **_map_report(p, pprime, seq)}, args.out)
     return 0
 
@@ -322,7 +318,8 @@ def build_parser():
 
     d = sub.add_parser("domain", help="positivity edges, exact and "
                        "Fock-scanned", parents=[common])
-    d.add_argument("--kind", required=True, choices=list(gaussian.EDGES))
+    d.add_argument("--kind", required=True,
+                   choices=list(gaussian.TRANSFORMATIONS))
     d.add_argument("--b", type=float, default=1.0)
     d.add_argument("--d", type=float, default=0.0)
     d.add_argument("--omega0", type=float, default=1.0)
@@ -354,7 +351,12 @@ def main(argv=None):
                                  f"finite, got {value}")
         if args.command == "map" and bool(args.invariance) == bool(args.src):
             raise ValueError("map needs either --invariance or --from/--to")
-        return args.func(args)
+        with warnings.catch_warnings():
+            # one line per library warning, with no source path or line
+            # that would change with the install or an edit
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except DegenerateKernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -5,6 +5,7 @@ and p = (a - a†)/(i sqrt(2)).  All matrices are dense complex n x n.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -15,10 +16,6 @@ def annihilation(n):
     m = np.arange(1, n)
     a[m - 1, m] = np.sqrt(m)
     return a
-
-
-def creation(n):
-    return annihilation(n).conj().T
 
 
 def number(n):
@@ -44,10 +41,6 @@ def fock_projector(k, n):
     return rho
 
 
-def vacuum_projector(n):
-    return fock_projector(0, n)
-
-
 def coherent_projector(z, n):
     """Density matrix |z><z| of the coherent state a|z> = z|z>.
 
@@ -67,11 +60,19 @@ def thermal_state(b, n):
     """Thermal (Gibbs) state with mean quadratures <x^2> = <p^2> = b.
 
     Populations are geometric, p_k = (1-q) q^k with q = (2b-1)/(2b+1);
-    b = 1/2 is the vacuum.  The retained populations are renormalized.
+    b = 1/2 is the vacuum.  The retained populations are renormalized,
+    with a warning when the discarded tail q^n is above 1e-12; a b so
+    large that q rounds to 1 leaves none, and raises OverflowError.
     """
     if b < 0.5:
         raise ValueError("thermal parameter must be >= 1/2")
     q = (2 * b - 1) / (2 * b + 1)
+    if q == 1:
+        raise OverflowError(f"b = {b:g}: q = (2b-1)/(2b+1) rounds to 1")
+    if q ** n > 1e-12:
+        warnings.warn(
+            f"cutoff {n} retains a geometric tail q^n = {q**n:.2e} > 1e-12; "
+            "populations will be visibly truncated", stacklevel=2)
     pops = (1 - q) * q ** np.arange(n) if q > 0 else np.eye(n)[0]
     pops = pops / pops.sum()
     return np.diag(pops).astype(complex)

@@ -9,23 +9,25 @@ Matching this to the generic kernel exp[-2 mu Q^2 - i kappa Q r
 - (mu + nu) r^2 / 2] gives mu = 1/(2w), kappa = 0, nu = b - mu, and the
 state is a positive operator exactly when mu > 0 and nu >= 0.
 
-Positivity of a transformed state is decided two ways.  The exact
-criterion is the reference: each family's parameter flow
-(transformed_gaussian, the one copy of the five flows, from which the
-maps in models also take their target parameters) gives the transformed
-Gaussian, which is positive exactly when w' > 0 and 2b'w' >= 1, so
-every domain edge is a root of 2b'w' = 1 along the flow, for any base
-(exact_edges).  The truncation cross-check rebuilds the transformed
-state in the Fock basis by quadrature and bisects the sign change of its
-smallest eigenvalue (positivity_boundary); a test pins the thermal flow
-to the literal exp(alpha O0) action on the Fock state.  The paper's
-printed conditions are read against the exact edges by printed_forms.
+The five transformations of `liosym map` and `liosym domain` are one
+table, TRANSFORMATIONS.  Positivity of a transformed state is decided two
+ways.  The exact criterion is the reference: each kind's parameter flow
+(transformed_gaussian, the one copy of the five flows, which
+models.transformation also reads) gives the transformed Gaussian, which
+is positive exactly when w' > 0 and 2b'w' >= 1, so every domain edge is
+a root of 2b'w' = 1 along the flow, for any base (exact_edges).  The
+truncation cross-check rebuilds the transformed state in the Fock basis
+by quadrature and bisects the sign change of its smallest eigenvalue
+(positivity_boundary); a test pins the thermal flow to the literal
+exp(alpha O0) action on the Fock state.  The paper's printed conditions
+are read against the exact edges by printed_forms.
 
 Everything is dimensionless (m = omega0 = hbar = 1 internally); x is the
 scaled position sqrt(m omega0) q.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,11 @@ class StationaryGaussian:
     @property
     def p2(self):
         return self.b
+
+    @property
+    def positive(self):
+        """w > 0 and 2bw >= 1: is_positive without its roundoff slack."""
+        return self.width > 0 and 2 * self.b * self.width >= 1
 
 
 def gaussian_from_bd(s):
@@ -137,15 +144,33 @@ def fock_from_gaussian(s, n):
     return rho / np.trace(rho)
 
 
-# ---------------------------------------------------------- domain edges
-# The report key of each edge of a kind's domain, and the direction of the
-# parameter p that leaves the domain through it.
-EDGES = {
-    "thermal": (("boundary", -1),),
-    "translate": (("boundary", -1),),
-    "hpz": (("boundary", -1),),
-    "kl2cl": (("boundary", 1),),
-    "cl2hpz": (("lower", -1), ("upper", 1)),
+# ------------------------------------- transformations and their domains
+# The five transformations of map and domain: the model families each
+# maps from, the family it maps to (None: the model's own), its step
+# sequence as (generator, parameter) pairs of the base's b, its parameter
+# p and hpz's phi, and the edges through which p leaves its positivity
+# domain, as (report key, direction of p).
+Transformation = namedtuple("Transformation", "source target steps edges")
+TRANSFORMATIONS = {
+    "thermal": Transformation(("KL", "CL", "HPZ"), None,
+                              lambda b, p, phi: [("O0", p)],
+                              (("boundary", -1),)),
+    "translate": Transformation(("CL",), None, lambda b, p, phi: [("O+", p)],
+                                (("boundary", -1),)),
+    # O+ and L1+ commute, as do O0 and iM2, so the two-parameter map
+    # splits into single-generator steps
+    "hpz": Transformation(("HPZ",), None,
+                          lambda b, p, phi: [("iM2", phi), ("O+", p),
+                                             ("L1+", p), ("O0", phi),
+                                             ("iM2", -phi)],
+                          (("boundary", -1),)),
+    # p is the rotation kl2cl_theta; the shear keeps g2 at 0
+    "kl2cl": Transformation(("KL",), "CL",
+                            lambda b, p, phi: [("iM1", p),
+                                               ("L2+", -2 * b * math.tanh(p))],
+                            (("boundary", 1),)),
+    "cl2hpz": Transformation(("CL",), "HPZ", lambda b, p, phi: [("L1+", p)],
+                             (("lower", -1), ("upper", 1))),
 }
 MAX_STEPS = 64  # cap on every walk along a flow: doublings from 1 to 2^63,
 # or halvings toward an edge
@@ -156,7 +181,7 @@ def transformed_gaussian(kind, s, p, phi=0.0):
     """Stationary-Gaussian parameters after the kind's coefficient flow.
 
     The package's one copy of the five (b', d', omega0') flows, which
-    the maps in models also read.  kl2cl rejects a base with d != 0: KL
+    models.transformation also reads.  kl2cl rejects a base with d != 0: KL
     has none, and iM1 then L2+ turn it into a correlated state.  With
     fock_from_gaussian the flows give the transformed state without ever
     exponentiating a truncated shear generator (whose tails are wildly
@@ -182,20 +207,23 @@ def transformed_gaussian(kind, s, p, phi=0.0):
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
+def kl2cl_theta(gamma, omega0):
+    """The KL -> CL rotation: sinh(theta) = -gamma/(2 omega0)."""
+    return math.asinh(-gamma / (2 * omega0))
+
+
 def _inside(kind, s, p, phi):
-    """The exact criterion at p: the transformed Gaussian has w' > 0 and
-    2b'w' >= 1 (is_positive without its roundoff slack).  Parameters
+    """The exact criterion at p on the transformed Gaussian.  Parameters
     beyond floating range are no state, so outside."""
     try:
-        t = transformed_gaussian(kind, s, p, phi)
+        return transformed_gaussian(kind, s, p, phi).positive
     except OverflowError:
         return False
-    return t.width > 0 and 2 * t.b * t.width >= 1
 
 
 def exact_edges(kind, s, phi=0.0):
     """Exact positivity edges of the kind's transformation parameter, as
-    {key: edge} keyed as in EDGES.
+    {key: edge} keyed as in its TRANSFORMATIONS entry.
 
     Each edge is the sign change of the exact criterion 2b'w' = 1 (with
     w' > 0) along transformed_gaussian, bisected to float resolution.  The
@@ -203,7 +231,7 @@ def exact_edges(kind, s, phi=0.0):
     else at the first inside point of a doubling walk against the first
     edge's exit direction (for hpz with phi != 0, xi = 0 can lie outside).
     """
-    if kind not in EDGES:
+    if kind not in TRANSFORMATIONS:
         raise ValueError(f"unknown domain kind {kind!r}")
 
     def inside(p):
@@ -220,7 +248,7 @@ def exact_edges(kind, s, phi=0.0):
             f"d = {s.d:g}, omega0 = {s.omega0:g} (w = {s.width:.6g}, "
             f"2bw = {2 * s.b * s.width:.6g})")
 
-    edges = EDGES[kind]
+    edges = TRANSFORMATIONS[kind].edges
     start = 0.0 if inside(0.0) else walk(0.0, -edges[0][1], True)
     return {key: numeric_positivity_boundary(
         inside, start, walk(start, exit_dir, False), 0.0)
@@ -232,8 +260,8 @@ def printed_forms(kind, s, edges, phi=0.0, gamma=None):
 
     thermal and hpz: the printed inequality (alpha >= ln 2b, xi >= 2/w -
     2b e^{2 phi}), kept as the record that the scan disagrees with it.
-    kl2cl with gamma: the map's own theta = asinh(-gamma / 2 omega0),
-    whether |theta| lies within the edge, and the equivalent damping form
+    kl2cl with gamma: the map's own theta (kl2cl_theta), whether |theta|
+    lies within the edge, and the equivalent damping form
     eta >= gamma/(2 omega0).
     """
     if kind == "thermal":
@@ -241,7 +269,7 @@ def printed_forms(kind, s, edges, phi=0.0, gamma=None):
     if kind == "hpz":
         return {"printed": 2 / s.width - 2 * s.b * math.exp(2 * phi)}
     if kind == "kl2cl" and gamma is not None:
-        theta = math.asinh(-gamma / (2 * s.omega0))
+        theta = kl2cl_theta(gamma, s.omega0)
         return {"theta_model": theta,
                 "eta_min": gamma / (2 * s.omega0),
                 "within_domain": abs(theta) <= edges["boundary"]}
@@ -290,7 +318,7 @@ def positivity_boundary(kind, s, n=30, phi=0.0):
         return float(np.linalg.eigvalsh(rho).min()) > -EIG_FLOOR
 
     exact, out = exact_edges(kind, s, phi), {}
-    for key, exit_dir in EDGES[kind]:
+    for key, exit_dir in TRANSFORMATIONS[kind].edges:
         edge, ends = exact[key], []
         for away in (-exit_dir, exit_dir):  # the inside end, then outside
             end = edge + away * BRACKET_HALF_WIDTH

@@ -8,13 +8,14 @@ grid (evolve), and one set of moment formulas (observables) serves both
 trajectories and stationary states.  K is a sparse matrix or the
 SuperOperator that model_generator returns.
 
-The symmetry content lives in two kinds of maps:
+The symmetry content is the five transformations of
+gaussian.TRANSFORMATIONS, which transformation applies to a model:
 
-* form invariance: transformations that keep a model inside its own
+* form invariances (thermal, translate, hpz) keep a model inside its own
   family, moving only the thermal parameter b (and d where present);
-* cross-model maps: KL -> CL (hyperbolic rotation plus a shear) and
-  CL -> HPZ (a single shear), which change the family while preserving
-  the relaxation rate g0 = gamma.
+* cross-model maps, KL -> CL (kl2cl: a hyperbolic rotation plus a shear)
+  and CL -> HPZ (cl2hpz: a single shear), change the family while
+  preserving the relaxation rate g0 = gamma.
 """
 
 import math
@@ -27,7 +28,8 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .fock import momentum, number, position
-from .gaussian import StationaryGaussian, transformed_gaussian
+from .gaussian import (TRANSFORMATIONS, StationaryGaussian, kl2cl_theta,
+                       transformed_gaussian)
 from .generators import CoefficientVector, build_generator, ten_generators
 from .liouville import SuperOperator, unvec, vec
 from .transforms import TransformSequence
@@ -37,6 +39,11 @@ MODELS = ("KL", "CL", "HPZ")
 
 class DegenerateKernelError(RuntimeError):
     """The generator's kernel is not one-dimensional."""
+
+
+class InvalidTargetError(ValueError):
+    """A transformation carries a model outside the valid, finite
+    parameters of its target family."""
 
 
 @dataclass(frozen=True)
@@ -211,85 +218,42 @@ def steady_state(K, return_info=False):
     return rho, info
 
 
-def _flowed(p, kind, param, phi=0.0, model=None):
-    """p carried along the kind's parameter flow
-    (gaussian.transformed_gaussian), as the target family's ModelParams.
-    A flow that leaves floating range raises OverflowError."""
-    t = transformed_gaussian(kind, StationaryGaussian(p.b, p.d, p.omega0),
-                             param, phi)
-    if not all(map(math.isfinite, (t.b, t.d, t.omega0))):
-        raise OverflowError(f"b' = {t.b:g}, d' = {t.d:g}, "
-                            f"omega0' = {t.omega0:g}")
-    return replace(p, model=model or p.model, omega0=t.omega0, b=t.b, d=t.d)
+def transformation(kind, p, param, phi=0.0):
+    """The model p after the kind's transformation, and the step sequence
+    whose conjugation maps its generator to the target's.
 
-
-def form_invariance(kind, p, params):
-    """Transformation keeping the model family fixed, with the new params.
-
-    kind "thermal" (any model): exp(alpha O0) rescales b and, for HPZ,
-    d by e^alpha.  kind "translate" (CL): exp(beta O+) shifts b by
-    beta/2.  kind "hpz" (HPZ): params = (phi, xi), a five-step sequence
-    giving b' = b e^phi + xi e^-phi, d'/2omega0 = (d/2omega0) e^phi
-    - xi e^-phi.
-
-    Returns the transformed ModelParams, from the kind's flow in
-    gaussian.transformed_gaussian, and the step sequence whose
-    superoperator conjugation maps one generator to the other.
+    Families, steps and flow come from gaussian.TRANSFORMATIONS.  param is
+    alpha (thermal), beta (translate), xi at phi (hpz), theta (kl2cl, the
+    model's own kl2cl_theta) or zeta (cl2hpz).  A model outside the kind's
+    source families, or another kl2cl theta, raises ValueError, a target
+    with b' <= 0 or beyond floating range InvalidTargetError.  The map of
+    generators is exact whether or not the target's stationary Gaussian
+    passes exact_edges' criterion, so a failure is warned about only.
     """
-    if kind == "thermal":
-        alpha = float(params)
-        return _flowed(p, kind, alpha), TransformSequence([("O0", alpha)])
-    if kind == "translate":
-        if p.model != "CL":
-            raise ValueError("translate form invariance holds for CL only")
-        beta = float(params)
-        return _flowed(p, kind, beta), TransformSequence([("O+", beta)])
-    if kind == "hpz":
-        if p.model != "HPZ":
-            raise ValueError("the two-parameter form invariance holds for "
-                             "HPZ only")
-        phi, xi = params
-        # O+ and L1+ commute, as do O0 and iM2, so the two-parameter map
-        # splits into single-generator steps
-        seq = TransformSequence([("iM2", phi), ("O+", xi), ("L1+", xi),
-                                 ("O0", phi), ("iM2", -phi)])
-        return _flowed(p, kind, xi, phi), seq
-    raise ValueError(f"unknown invariance kind {kind!r}")
-
-
-def map_kl_to_cl(p):
-    """Map a KL model onto the CL family.
-
-    A hyperbolic rotation with sinh(theta) = -gamma/(2 omega0) followed
-    by a shear eta = -2b tanh(theta); the frequency renormalizes to
-    omega0 cosh(theta), b to b/cosh(theta), gamma is untouched.
-    """
-    if p.model != "KL":
-        raise ValueError("map_kl_to_cl expects a KL model")
-    theta = math.asinh(-p.gamma / (2 * p.omega0))
-    eta = -2 * p.b * math.tanh(theta)
-    seq = TransformSequence([("iM1", theta), ("L2+", eta)])
-    return _flowed(p, "kl2cl", theta, model="CL"), seq
-
-
-def map_cl_to_hpz(p, zeta):
-    """Map a CL model onto the HPZ family with a single shear step.
-
-    b' = b + zeta/2 and d' = -2 omega0 zeta.  The transformed stationary
-    state stays positive only for |zeta| <= sqrt(4b^2 - 1); outside that
-    range the map is still exact at the generator level, so the bound is
-    reported, not enforced.
-    """
-    if p.model != "CL":
-        raise ValueError("map_cl_to_hpz expects a CL model")
-    bound = math.sqrt(4 * p.b ** 2 - 1) if p.b >= 0.5 else 0.0
-    if abs(zeta) > bound:
+    if kind not in TRANSFORMATIONS:
+        raise ValueError(f"unknown invariance or map kind {kind!r}; "
+                         f"expected one of {', '.join(TRANSFORMATIONS)}")
+    spec = TRANSFORMATIONS[kind]
+    if p.model not in spec.source:
+        raise ValueError(f"{kind} maps {' or '.join(spec.source)} models, "
+                         f"not {p.model}")
+    if kind == "kl2cl" and param != kl2cl_theta(p.gamma, p.omega0):
+        raise ValueError(f"kl2cl lands on CL only at the model's own theta "
+                         f"{kl2cl_theta(p.gamma, p.omega0)!r}, not {param!r}")
+    family = spec.target or p.model
+    try:
+        t = transformed_gaussian(kind, StationaryGaussian(p.b, p.d, p.omega0),
+                                 param, phi)
+        target = replace(p, model=family, omega0=t.omega0, b=t.b, d=t.d)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidTargetError(f"the transformed {family} model is invalid "
+                                 f"or not finite ({exc})") from None
+    if not t.positive:
         warnings.warn(
-            f"|zeta| = {abs(zeta):.6g} exceeds the positivity bound "
-            f"{bound:.6g}; the mapped stationary state is not a density "
-            "matrix", stacklevel=2)
-    seq = TransformSequence([("L1+", zeta)])
-    return _flowed(p, "cl2hpz", zeta, model="HPZ"), seq
+            f"the transformed stationary state (b' = {t.b:.6g}, "
+            f"w' = {t.width:.6g}) fails w' > 0 and 2b'w' >= 1, so it is not "
+            "a density matrix", stacklevel=2)
+    return target, TransformSequence(spec.steps(p.b, param, phi))
 
 
 def expectation_invariance_check(seq, o, rho):

@@ -17,7 +17,6 @@ dilation makes of the vacuum.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,14 +179,9 @@ def gibbs_from_vacuum(alpha, n):
     The dilation carries the vacuum to the geometric state with
     b = e^alpha / 2: populations (1-q) q^k with
     q = (e^alpha - 1)/(e^alpha + 1), renormalized on the retained levels
-    (fock.thermal_state).  A test checks it against exp(alpha O0) acting
-    on the vacuum.  Warns when the discarded tail q^n is above 1e-12.
+    (fock.thermal_state, which warns when the discarded tail q^n is above
+    1e-12).  A test checks it against exp(alpha O0) acting on the vacuum.
     """
     if alpha < 0:
         raise ValueError("dilation parameter must be >= 0")
-    q = (math.exp(alpha) - 1) / (math.exp(alpha) + 1)
-    if q ** n > 1e-12:
-        warnings.warn(
-            f"cutoff {n} retains a geometric tail q^n = {q**n:.2e} > 1e-12; "
-            "populations will be visibly truncated", stacklevel=2)
     return thermal_state(math.exp(alpha) / 2, n)

@@ -22,8 +22,7 @@ from liosym import (
     coefficient_map,
     expectation_invariance_check,
     fock_projector,
-    map_cl_to_hpz,
-    map_kl_to_cl,
+    kl2cl_theta,
     model_coefficients,
     model_generator,
     momentum,
@@ -34,6 +33,7 @@ from liosym import (
     steady_state,
     superop_similarity,
     ten_generators,
+    transformation,
 )
 from liosym.checks import SUITE
 from liosym.cli import DEFAULT_SEED
@@ -218,7 +218,7 @@ def test_criterion_07_stationary_states():
 
 def test_criterion_08_cross_model_maps():
     p = ModelParams("KL", 1.0, 0.6, 1.0)
-    new, seq = map_kl_to_cl(p)
+    new, seq = transformation("kl2cl", p, kl2cl_theta(p.gamma, p.omega0))
     ch = math.sqrt(1.09)
     param_err = max(abs(new.omega0 - ch), abs(new.b - 1 / ch),
                     abs(new.gamma - 0.6))
@@ -231,7 +231,7 @@ def test_criterion_08_cross_model_maps():
     res_klcl = conj_residual(p, new, seq)
 
     p = ModelParams("CL", 1.0, 0.4, 1.0)
-    new, seq = map_cl_to_hpz(p, 0.5)
+    new, seq = transformation("cl2hpz", p, 0.5)
     param_err = max(param_err, abs(new.b - 1.25), abs(new.d + 1.0))
     res_clhpz = conj_residual(p, new, seq)
 

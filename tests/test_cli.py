@@ -13,8 +13,9 @@ import sys
 import pytest
 
 import liosym.generators
-from liosym import StationaryGaussian, exact_edges
-from liosym.cli import main
+from liosym import (TRANSFORMATIONS, StationaryGaussian, exact_edges,
+                    kl2cl_theta)
+from liosym.cli import MAP_MODES, build_parser, main
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -311,12 +312,75 @@ def test_cutoff_below_one_is_rejected(tmp_path, capsys, command, cutoff):
       "--b", "1e10", "--alpha", "700"], "--alpha"),
     (["evolve", "--model", "kl", "--init", "coherent:1e300"], "--init"),
     (["evolve", "--model", "kl", "--init", "coherent:40", "--fock-dim", "4"],
-     "--init")])
+     "--init"),
+    # e^40 puts q = (e^40 - 1)/(e^40 + 1) at exactly 1: no population left
+    (["evolve", "--model", "kl", "--init", "gibbs:40"], "--init"),
+    (["evolve", "--model", "kl", "--init", "gibbs:700", "--fock-dim", "4"],
+     "--init"),
+    # finite inputs whose transformed model is invalid: e^-800 underflows
+    # b' to 0, and b' = 1 - 3/2
+    (["map", "--invariance", "thermal", "--model", "kl", "--alpha", "-800"],
+     "--alpha"),
+    (["map", "--invariance", "translate", "--model", "cl", "--b", "1",
+      "--beta", "-3"], "--beta")])
 def test_non_finite_inputs_are_rejected(tmp_path, capsys, argv, option):
     code, report = run_json(tmp_path, argv)
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option} ") and "finite" in err
+
+
+def test_map_modes_run_the_kinds_of_domain(tmp_path, capsys):
+    # each map mode runs one kind of the table that domain's --kind lists
+    modes = [["--invariance", "thermal", "--model", "kl", "--alpha", "0.4"],
+             ["--invariance", "translate", "--model", "cl", "--beta", "0.7"],
+             ["--invariance", "hpz", "--model", "hpz", "--d", "0.3",
+              "--phi", "0.2", "--xi", "0.3"],
+             ["--from", "kl", "--to", "cl", "--gamma", "0.6"],
+             ["--from", "cl", "--to", "hpz", "--zeta", "0.5"]]
+    for argv in modes:
+        code, report = run_json(tmp_path, ["map"] + argv)
+        assert code == 0 and report["pass"] is True, argv
+    assert capsys.readouterr().err == ""
+    command = next(a for a in build_parser()._actions if a.dest == "command")
+    domain = next(a for a in command.choices["domain"]._actions
+                  if a.dest == "kind")
+    assert [kind for kind, *_ in MAP_MODES.values()] == domain.choices == \
+        list(TRANSFORMATIONS)
+
+    # the map warns exactly when the parameter lies outside exact_edges'
+    # domain: |theta| beyond the kl2cl edge, zeta outside cl2hpz's edges
+    for argv, kind, base, param, warns in [
+            (["--from", "kl", "--to", "cl", "--gamma", "5", "--b", "0.6",
+              "--omega0", "1.3"], "kl2cl", StationaryGaussian(0.6, 0, 1.3),
+             kl2cl_theta(5, 1.3), True),
+            (["--from", "cl", "--to", "hpz", "--b", "1", "--zeta", "1.8"],
+             "cl2hpz", StationaryGaussian(1.0), 1.8, True),
+            (["--from", "kl", "--to", "cl", "--gamma", "0.6", "--b", "1"],
+             "kl2cl", StationaryGaussian(1.0), kl2cl_theta(0.6, 1.0),
+             False)]:
+        edges = exact_edges(kind, base)
+        outside = (abs(param) > edges["boundary"] if kind == "kl2cl"
+                   else not edges["lower"] <= param <= edges["upper"])
+        assert outside == warns, argv
+        code, report = run_json(tmp_path, ["map"] + argv)
+        assert code == 0 and report["pass"] is True, argv
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ") == warns, argv
+        if warns:
+            assert "not a density matrix" in err and err.count("\n") == 1
+
+
+def test_library_warnings_print_as_one_stderr_line(tmp_path, capsys):
+    # n = 8 leaks trace on the KL trajectory
+    path = tmp_path / "traj.csv"
+    code = main(["evolve", "--model", "kl", "--gamma", "0.4", "--b", "1",
+                 "--fock-dim", "8", "--out", str(path)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: trajectory tolerance breach: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert ".py" not in err and "UserWarning" not in err
 
 
 def test_steady_hpz_report(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from liosym import (
+    TRANSFORMATIONS,
     ModelParams,
     StationaryGaussian,
     TransformSequence,
@@ -17,6 +18,7 @@ from liosym import (
     gaussian_from_bd,
     hermite_psi,
     is_positive,
+    kl2cl_theta,
     model_coefficients,
     model_generator,
     numeric_positivity_boundary,
@@ -104,30 +106,32 @@ def test_fock_from_gaussian_rejects_nonnormalizable_kernels():
         fock_from_gaussian(StationaryGaussian(-0.3), 12)
 
 
-THETA = math.asinh(-0.2)  # the KL -> CL rotation at gamma = 0.4, omega0 = 1
+THETA = kl2cl_theta(0.4, 1.0)  # the KL -> CL rotation of the bases below
 
 
 @pytest.mark.parametrize("kind, model, d, p, phi, target, steps", [
-    ("thermal", "KL", 0.0, 0.4, 0.0, "KL", [("O0", 0.4)]),
-    ("thermal", "CL", 0.0, 0.4, 0.0, "CL", [("O0", 0.4)]),
-    ("thermal", "HPZ", 0.3, 0.4, 0.0, "HPZ", [("O0", 0.4)]),
-    ("translate", "CL", 0.0, 0.7, 0.0, "CL", [("O+", 0.7)]),
-    ("translate", "HPZ", 0.3, 0.7, 0.0, "HPZ", [("O+", 0.7)]),
-    ("hpz", "HPZ", 0.3, 0.3, 0.2, "HPZ",
-     [("iM2", 0.2), ("O+", 0.3), ("L1+", 0.3), ("O0", 0.2), ("iM2", -0.2)]),
-    # the shear of the KL -> CL map at b = 1
-    ("kl2cl", "KL", 0.0, THETA, 0.0, "CL",
-     [("iM1", THETA), ("L2+", -2 * math.tanh(THETA))]),
-    ("cl2hpz", "CL", 0.0, 0.5, 0.0, "HPZ", [("L1+", 0.5)]),
-    ("cl2hpz", "HPZ", 0.3, 0.5, 0.0, "HPZ", [("L1+", 0.5)])])
+    ("thermal", "KL", 0.0, 0.4, 0.0, "KL", ["O0"]),
+    ("thermal", "CL", 0.0, 0.4, 0.0, "CL", ["O0"]),
+    ("thermal", "HPZ", 0.3, 0.4, 0.0, "HPZ", ["O0"]),
+    ("translate", "CL", 0.0, 0.7, 0.0, "CL", ["O+"]),
+    ("translate", "HPZ", 0.3, 0.7, 0.0, "HPZ", ["O+"]),
+    ("hpz", "HPZ", 0.3, 0.3, 0.2, "HPZ", ["iM2", "O+", "L1+", "O0", "iM2"]),
+    ("kl2cl", "KL", 0.0, THETA, 0.0, "CL", ["iM1", "L2+"]),
+    ("cl2hpz", "CL", 0.0, 0.5, 0.0, "HPZ", ["L1+"]),
+    ("cl2hpz", "HPZ", 0.3, 0.5, 0.0, "HPZ", ["L1+"])])
 def test_each_kind_flows_as_its_sequence(kind, model, d, p, phi, target,
                                          steps):
-    # conjugating the model by the kind's sequence gives the generator of
-    # the model with the flowed (b', d', omega0')
+    # conjugating the model by the kind's sequence, as the table gives it,
+    # gives the generator of the target model with the flowed
+    # (b', d', omega0')
+    spec = TRANSFORMATIONS[kind]
     base = ModelParams(model, 1.0, 0.4, 1.0, d)
+    seq = TransformSequence(spec.steps(base.b, p, phi))
+    assert [s.generator for s in seq] == steps
+    assert (spec.target or model) == target
     t = transformed_gaussian(kind, StationaryGaussian(base.b, base.d), p, phi)
     flowed = ModelParams(target, t.omega0, base.gamma, t.b, t.d)
-    got = apply_sequence(TransformSequence(steps), model_coefficients(base))
+    got = apply_sequence(seq, model_coefficients(base))
     want = model_coefficients(flowed)
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
 

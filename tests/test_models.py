@@ -17,9 +17,7 @@ from liosym import (
     evolve,
     expectation_invariance_check,
     fock_projector,
-    form_invariance,
-    map_cl_to_hpz,
-    map_kl_to_cl,
+    kl2cl_theta,
     model_coefficients,
     model_generator,
     models,
@@ -29,7 +27,7 @@ from liosym import (
     steady_state,
     ten_generators,
     thermal_state,
-    vacuum_projector,
+    transformation,
 )
 
 
@@ -70,13 +68,13 @@ def test_params_validation():
 def test_evolve_input_validation():
     n = 6
     K = model_generator(ModelParams("KL", 1.0, 0.4, 1.0), n)
-    rho0 = vacuum_projector(n)
+    rho0 = fock_projector(0, n)
     for t_max, steps in ((0.0, 10), (-1.0, 10), (math.nan, 10), (1.0, 0),
                          (1.0, -2)):
         with pytest.raises(ValueError, match="need t-max > 0 and steps >= 1"):
             evolve(K, rho0, t_max, steps)
     with pytest.raises(ValueError, match="shape"):
-        evolve(K, vacuum_projector(n + 1), 1.0, 1)
+        evolve(K, fock_projector(0, n + 1), 1.0, 1)
     with pytest.raises(TypeError, match="sparse matrix"):
         evolve(K.mat, rho0, 1.0, 1)
 
@@ -173,7 +171,7 @@ def test_evolve_warns_when_truncation_leaks():
     n = 8
     K = model_generator(ModelParams("KL", 1.0, 0.4, 1.0), n)
     with pytest.warns(UserWarning, match="truncation leakage"):
-        traj = evolve(K, vacuum_projector(n), 50.0, 1)
+        traj = evolve(K, fock_projector(0, n), 50.0, 1)
     assert traj.max_trace_violation > 1e-8
 
 
@@ -216,7 +214,7 @@ def test_steady_state_rejects_a_degenerate_kernel():
 
 def test_form_invariance_thermal():
     p = ModelParams("KL", 1.0, 0.4, 1.0)
-    new, seq = form_invariance("thermal", p, math.log(1.5))
+    new, seq = transformation("thermal", p, math.log(1.5))
     assert new.b == pytest.approx(1.5, abs=1e-14)
     assert (new.model, new.omega0, new.gamma) == ("KL", 1.0, 0.4)
     got = apply_sequence(seq, model_coefficients(p))
@@ -224,7 +222,7 @@ def test_form_invariance_thermal():
 
     # on HPZ the diffusion coefficient picks up the same factor
     p = ModelParams("HPZ", 1.0, 0.4, 1.0, 0.5)
-    new, seq = form_invariance("thermal", p, math.log(1.5))
+    new, seq = transformation("thermal", p, math.log(1.5))
     assert new.b == pytest.approx(1.5, abs=1e-14)
     assert new.d == pytest.approx(0.75, abs=1e-14)
     got = apply_sequence(seq, model_coefficients(p))
@@ -233,34 +231,33 @@ def test_form_invariance_thermal():
 
 def test_form_invariance_translate():
     p = ModelParams("CL", 1.0, 0.4, 1.0)
-    new, seq = form_invariance("translate", p, 1.0)
+    new, seq = transformation("translate", p, 1.0)
     assert new.b == pytest.approx(1.5, abs=1e-14)
     got = apply_sequence(seq, model_coefficients(p))
     assert np.allclose(got, model_coefficients(new), atol=1e-12)
-    with pytest.raises(ValueError, match="CL only"):
-        form_invariance("translate", ModelParams("KL", 1.0, 0.4, 1.0), 1.0)
+    with pytest.raises(ValueError, match="maps CL models, not KL"):
+        transformation("translate", ModelParams("KL", 1.0, 0.4, 1.0), 1.0)
 
 
 def test_form_invariance_hpz():
     p = ModelParams("HPZ", 1.0, 0.4, 1.0, 0.5)
-    new, seq = form_invariance("hpz", p, (math.log(2.0), 0.5))
+    new, seq = transformation("hpz", p, 0.5, math.log(2.0))
     assert new.b == pytest.approx(2.25, abs=1e-14)
     assert new.d / (2 * new.omega0) == pytest.approx(0.25, abs=1e-14)
     got = apply_sequence(seq, model_coefficients(p))
     assert np.allclose(got, model_coefficients(new), atol=1e-12)
-    with pytest.raises(ValueError, match="HPZ only"):
-        form_invariance("hpz", ModelParams("CL", 1.0, 0.4, 1.0),
-                        (0.1, 0.1))
+    with pytest.raises(ValueError, match="maps HPZ models, not CL"):
+        transformation("hpz", ModelParams("CL", 1.0, 0.4, 1.0), 0.1, 0.1)
 
 
 def test_form_invariance_unknown_kind():
     with pytest.raises(ValueError, match="unknown invariance"):
-        form_invariance("squeeze", ModelParams("KL", 1.0, 0.4, 1.0), 0.1)
+        transformation("squeeze", ModelParams("KL", 1.0, 0.4, 1.0), 0.1)
 
 
 def test_map_kl_to_cl():
     p = ModelParams("KL", 1.0, 0.6, 1.0)
-    new, seq = map_kl_to_cl(p)
+    new, seq = transformation("kl2cl", p, kl2cl_theta(p.gamma, p.omega0))
     ch = math.sqrt(1.09)
     assert new.model == "CL"
     assert new.omega0 == pytest.approx(ch, abs=1e-14)
@@ -268,13 +265,16 @@ def test_map_kl_to_cl():
     assert new.gamma == p.gamma
     got = apply_sequence(seq, model_coefficients(p))
     assert np.allclose(got, model_coefficients(new), atol=1e-12)
-    with pytest.raises(ValueError, match="expects a KL"):
-        map_kl_to_cl(new)
+    with pytest.raises(ValueError, match="maps KL models, not CL"):
+        transformation("kl2cl", new, kl2cl_theta(new.gamma, new.omega0))
+    # any other theta leaves a generator outside the CL family
+    with pytest.raises(ValueError, match="own theta"):
+        transformation("kl2cl", p, 0.3)
 
 
 def test_map_kl_to_cl_weak_damping_limit():
     p = ModelParams("KL", 1.0, 1e-12, 1.0)
-    new, _ = map_kl_to_cl(p)
+    new, _ = transformation("kl2cl", p, kl2cl_theta(p.gamma, p.omega0))
     assert abs(new.omega0 - 1.0) < 1e-12
     assert abs(new.b - 1.0) < 1e-12
     assert new.gamma == p.gamma
@@ -282,21 +282,22 @@ def test_map_kl_to_cl_weak_damping_limit():
 
 def test_map_cl_to_hpz():
     p = ModelParams("CL", 1.0, 0.4, 1.0)
-    new, seq = map_cl_to_hpz(p, 0.5)
+    new, seq = transformation("cl2hpz", p, 0.5)
     assert new.model == "HPZ"
     assert new.b == pytest.approx(1.25, abs=1e-14)
     assert new.d == pytest.approx(-1.0, abs=1e-14)
     got = apply_sequence(seq, model_coefficients(p))
     assert np.allclose(got, model_coefficients(new), atol=1e-12)
-    with pytest.raises(ValueError, match="expects a CL"):
-        map_cl_to_hpz(ModelParams("KL", 1.0, 0.4, 1.0), 0.5)
+    with pytest.raises(ValueError, match="maps CL models, not KL"):
+        transformation("cl2hpz", ModelParams("KL", 1.0, 0.4, 1.0), 0.5)
 
 
 def test_map_cl_to_hpz_warns_outside_the_positivity_bound():
-    # bound at b = 1 is sqrt(3); the map itself still goes through
+    # the domain at b = 1 is |zeta| <= sqrt(3); the map itself still goes
+    # through
     p = ModelParams("CL", 1.0, 0.4, 1.0)
-    with pytest.warns(UserWarning, match="positivity bound"):
-        new, _ = map_cl_to_hpz(p, 1.8)
+    with pytest.warns(UserWarning, match="not a density matrix"):
+        new, _ = transformation("cl2hpz", p, 1.8)
     assert new.d == pytest.approx(-3.6, abs=1e-14)
 
 
@@ -353,14 +354,14 @@ def test_steady_state_with_an_exact_null_vector():
     n = 24
     K = model_generator(ModelParams("CL", 1.0, 0.4, 0.5), n)
     rho = steady_state(K)
-    assert np.abs(rho - vacuum_projector(n)).max() < 1e-10
+    assert np.abs(rho - fock_projector(0, n)).max() < 1e-10
     # h0 iL0 + g0 (O0 - 1/2 - O+) + h1 (iM1 - L2+) + h2 (iM2 + L1+)
     # annihilates the vacuum for any (h0, g0, h1, h2)
     h0, g0, h1, h2 = 0.8, 0.5, 0.3, -0.2
     c = CoefficientVector(h0, h1, h2, g0, -g0, h2, -h1)
     K = build_generator(c, ten_generators(n, dense=False), n)
     rho, info = steady_state(K, return_info=True)
-    assert np.abs(rho - vacuum_projector(n)).max() < 1e-12
+    assert np.abs(rho - fock_projector(0, n)).max() < 1e-12
     assert info["residual"] < 1e-13
 
 
@@ -370,7 +371,7 @@ def test_steady_state_at_the_smallest_cutoffs():
     for n in (1, 2, 3):
         rho = steady_state(model_generator(ModelParams("KL", 1.0, 0.4, 0.5),
                                            n))
-        assert np.abs(rho - vacuum_projector(n)).max() < 1e-12
+        assert np.abs(rho - fock_projector(0, n)).max() < 1e-12
         with pytest.raises(DegenerateKernelError, match="0-dimensional"):
             steady_state(model_generator(ModelParams("KL", 1.0, 0.4, 1.0), n))
 
@@ -385,7 +386,7 @@ def test_steady_state_falls_back_to_the_dense_spectrum(monkeypatch):
     n = 12
     K = model_generator(ModelParams("CL", 1.0, 0.4, 0.5), n)
     monkeypatch.setattr(models, "eigs", no_pairs)
-    assert np.abs(steady_state(K) - vacuum_projector(n)).max() < 1e-12
+    assert np.abs(steady_state(K) - fock_projector(0, n)).max() < 1e-12
     rotation = build_generator(CoefficientVector(2.0, 0, 0, 0, 0, 0, 0),
                                ten_generators(6, dense=False), 6)
     with pytest.raises(DegenerateKernelError, match="kernel is 6-dim"):

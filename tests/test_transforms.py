@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from liosym.fock import vacuum_projector
+from liosym.fock import fock_projector
 from liosym.fourdim import REP, rep_of_coefficients
 from liosym.generators import (CONSERVING, UNITARY, CoefficientVector,
                                build_generator, ten_generators)
@@ -180,7 +180,7 @@ def test_vacuum_annihilating_generator_kills_the_vacuum():
     h0, g0, h1, h2 = 0.8, 0.5, 0.3, -0.2
     c = CoefficientVector(h0, h1, h2, g0, -g0, h2, -h1)
     K = build_generator(c, ten_generators(n), n)
-    assert np.abs(K @ vec(vacuum_projector(n))).max() < 1e-13
+    assert np.abs(K @ vec(fock_projector(0, n))).max() < 1e-13
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
@@ -190,7 +190,7 @@ def test_gibbs_from_vacuum_matches_the_dense_literal_route(alpha):
     # below roundoff (at n = 24 and alpha = 0.9 it shows at 2.4e-10)
     n = 48
     O0 = ten_generators(n, dense=False)["O0"]
-    want = unvec(expm_multiply(alpha * O0, vec(vacuum_projector(n))), n)
+    want = unvec(expm_multiply(alpha * O0, vec(fock_projector(0, n))), n)
     want = (want + want.conj().T) / 2
     want /= np.trace(want).real
     assert np.abs(gibbs_from_vacuum(alpha, n) - want).max() < 1e-14
