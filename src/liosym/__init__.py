@@ -26,9 +26,8 @@ from .fock import (annihilation, coherent_projector, fock_projector,
                    momentum, number, position, random_density,
                    thermal_state)
 from .fourdim import REP, SYMPLECTIC_FORM
-from .gaussian import (TRANSFORMATIONS, GaussianParams, StationaryGaussian,
-                       exact_edges, fock_from_gaussian, gaussian_from_bd,
-                       hermite_psi, is_positive, kl2cl_theta,
+from .gaussian import (TRANSFORMATIONS, StationaryGaussian, exact_edges,
+                       fock_from_gaussian, hermite_psi, kl2cl_theta,
                        numeric_positivity_boundary, position_rep_residual,
                        positivity_boundary, printed_forms,
                        transformed_gaussian)

@@ -69,6 +69,8 @@ def cmd_verify(args):
     if n < 8:
         raise ValueError("fock-dim must be at least 8 for the safe-block "
                          "identity checks")
+    if tol <= 0:
+        raise ValueError(f"--tol {tol:g}: the tolerance must be positive")
     rng = np.random.default_rng(args.seed)
     gens = ten_generators(n, dense=False)
     checks = [{"check": name, "residual": float(res), "threshold": thr,
@@ -99,7 +101,7 @@ def _initial_state(spec, n):
     if kind in ("gibbs", "coherent"):
         z = float(arg) if kind == "gibbs" else complex(arg)
         if not np.isfinite(z):
-            raise ValueError(f"--init {spec}: the argument must be finite")
+            raise ValueError("the argument must be finite")
         # amplitudes beyond floating range overflow, or underflow into a
         # 0/0 normalization: both end in the diagnosis below
         try:
@@ -109,10 +111,11 @@ def _initial_state(spec, n):
         except OverflowError:
             rho = np.full((n, n), np.nan)
         if not np.isfinite(rho).all():
-            raise ValueError(f"--init {spec}: the state at cutoff {n} is "
-                             "not finite in floating point")
+            raise ValueError(f"the state at cutoff {n} is not finite in "
+                             "floating point")
         return rho
-    raise ValueError(f"unknown initial state {spec!r}")
+    raise ValueError("unknown initial state; expected vacuum, fock:n, "
+                     "gibbs:alpha or coherent:z")
 
 
 def _model_params(args):
@@ -123,7 +126,10 @@ def _model_params(args):
 def cmd_evolve(args):
     p = _model_params(args)
     n = args.fock_dim
-    rho0 = _initial_state(args.init, n)
+    try:
+        rho0 = _initial_state(args.init, n)
+    except ValueError as exc:
+        raise ValueError(f"--init {args.init}: {exc}") from None
     traj = evolve(model_generator(p, n), rho0, args.t_max, args.steps)
 
     buf = io.StringIO()
@@ -202,9 +208,20 @@ def cmd_domain(args):
         raise ValueError(f"--d {args.d:g}: kl2cl maps a KL base, which has "
                          "no diffusion coefficient d")
     s = gaussian.StationaryGaussian(args.b, args.d, args.omega0)
-    exact = gaussian.exact_edges(args.kind, s, phi=args.phi)
-    numeric = gaussian.positivity_boundary(args.kind, s, n=args.fock_dim,
-                                           phi=args.phi)
+    try:
+        exact = gaussian.exact_edges(args.kind, s, phi=args.phi)
+        numeric = gaussian.positivity_boundary(args.kind, s, n=args.fock_dim,
+                                               phi=args.phi)
+    except ValueError:
+        # with w > 0 the hpz domain is a half-line in xi at every phi, so
+        # a failed search means e^{|phi|} cost the flow or the scan its
+        # resolution
+        if args.kind != "hpz" or args.phi == 0 or not s.width > 0:
+            raise
+        raise ValueError(
+            f"--phi {args.phi:g}: the hpz edge exists for this base "
+            f"(w = {s.width:.6g} > 0), but lies beyond what the flow and "
+            "the Fock scan can resolve in floating point") from None
     report = {
         "kind": args.kind,
         "base": {"b": s.b, "d": s.d, "omega0": s.omega0},
@@ -225,12 +242,14 @@ def cmd_domain(args):
 def cmd_steady(args):
     p = _model_params(args)
     n = args.fock_dim
-    K = model_generator(p, n)
-    rho, info = steady_state(K, return_info=True)
+    s = gaussian.StationaryGaussian(p.b, p.d, p.omega0)
+    try:
+        mu, nu = s.mu, s.nu
+    except ValueError as exc:
+        raise ValueError(f"--b {p.b:g}, --d {p.d:g}: {exc}") from None
+    rho, info = steady_state(model_generator(p, n))
 
     m = observables(rho[None])
-    s = gaussian.StationaryGaussian(p.b, p.d, p.omega0)
-    g = gaussian.gaussian_from_bd(s)
     pops = np.diag(rho).real
     report = {
         "model": p.model,
@@ -246,9 +265,9 @@ def cmd_steady(args):
             "p2_expected": s.p2,
         },
         "gaussian": {
-            "mu": g.mu, "kappa": g.kappa, "nu": g.nu,
-            "positive": bool(gaussian.is_positive(g)),
-            "on_boundary": bool(abs(g.nu) <= 1e-9),
+            "mu": mu, "kappa": 0.0, "nu": nu,
+            "positive": s.positive,
+            "on_boundary": bool(abs(nu) <= 1e-9),
         },
         "populations": [float(v) for v in pops[:min(n, 16)]],
     }
@@ -352,8 +371,10 @@ def main(argv=None):
         if args.command == "map" and bool(args.invariance) == bool(args.src):
             raise ValueError("map needs either --invariance or --from/--to")
         with warnings.catch_warnings():
-            # one line per library warning, with no source path or line
-            # that would change with the install or an edit
+            # one line per library warning, whatever the caller's filters
+            # and however often it was raised before, with no source path
+            # or line that would change with the install or an edit
+            warnings.simplefilter("always")
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr)
             return args.func(args)

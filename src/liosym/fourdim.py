@@ -97,8 +97,8 @@ def orthogonality_residual():
 
 def ladder_action_residual(n, gens=None):
     """Check [J, X_i] = -sum_j R(J)_ij X_j on the truncated ladder maps,
-    measured on the safe block.  gens is the generator set to check,
-    sparse or dense; the sparse set is built when it is not given."""
+    measured on the safe block.  gens is the sparse generator set to
+    check, built when it is not given."""
     from .generators import ladder_superops, ten_generators
     from .liouville import safe_block_residual
     if gens is None:

@@ -32,22 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-POSITIVITY_SLACK = 1e-12
-
 QUAD_HALF_WIDTH, QUAD_NPTS = 12.0, 601  # fock_from_gaussian's grid
 SCAN_TOL = 1e-4  # positivity_boundary's accuracy in the parameter
 # Reconstructed states inside the positive domain carry O(1e-15) negative
 # roundoff, so "positive" means min-eig > -EIG_FLOOR; the located root
 # shifts by EIG_FLOOR/slope, negligible against SCAN_TOL.
 EIG_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Kernel exp[-2 mu Q^2 - i kappa Q r - (mu + nu) r^2 / 2]."""
-    mu: float
-    kappa: float
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -74,30 +64,23 @@ class StationaryGaussian:
         return self.b
 
     @property
+    def mu(self):
+        """Kernel coefficient mu = 1/(2w).  A vanishing width w = 0 has no
+        kernel at all and is rejected; negative w gives mu < 0."""
+        if abs(self.width) < 1e-14:
+            raise ValueError("vanishing width: 2b + d/omega0 = 0")
+        return 1 / (2 * self.width)
+
+    @property
+    def nu(self):
+        """Kernel coefficient nu = b - mu."""
+        return self.b - self.mu
+
+    @property
     def positive(self):
-        """w > 0 and 2bw >= 1: is_positive without its roundoff slack."""
+        """Positivity as an operator, mu > 0 and nu >= 0, evaluated as
+        w > 0 and 2bw >= 1 with no roundoff slack."""
         return self.width > 0 and 2 * self.b * self.width >= 1
-
-
-def gaussian_from_bd(s):
-    """Kernel parameters of the stationary Gaussian.
-
-    mu = 1/(2w), kappa = 0, nu = b - mu.  A vanishing width w = 0 has no
-    kernel at all and is rejected; negative w is representable (mu < 0)
-    but never positive.
-    """
-    w = s.width
-    if abs(w) < 1e-14:
-        raise ValueError("vanishing width: 2b + d/omega0 = 0")
-    mu = 1 / (2 * w)
-    return GaussianParams(mu=mu, kappa=0.0, nu=s.b - mu)
-
-
-def is_positive(g):
-    """Positivity of the Gaussian as an operator: mu > 0 and nu >= 0
-    (nu down to -1e-12 passes, absorbing roundoff at the pure-state
-    boundary).  Equivalent to 2b(2b + d/omega0) >= 1."""
-    return g.mu > 0 and g.nu >= -POSITIVITY_SLACK
 
 
 # ------------------------------------------------------------- Fock route
@@ -334,8 +317,7 @@ def positivity_boundary(kind, s, n=30, phi=0.0):
 
 
 # ---------------------------------------------------- position-space check
-def position_rep_residual(model, s, half_width=None, npts=201,
-                          method="analytic"):
+def position_rep_residual(model, s):
     """max |K rho| / max |rho| for the model generator in (Q, r) form
     acting on the stationary Gaussian.
 
@@ -347,10 +329,9 @@ def position_rep_residual(model, s, half_width=None, npts=201,
       HPZ: CL + i (d/2) r dQ
 
     scaled so the overall gamma of the damping pieces is g = 1 (the
-    residual is homogeneous in gamma).  Analytic derivatives substitute
-    the exact partials of the Gaussian; method="fd" uses second-order
-    centered differences instead.  The grid must cover at least three
-    standard deviations each side with at least 201 points per axis.
+    residual is homogeneous in gamma).  The exact partials of the Gaussian
+    are substituted on a grid of 201 points per axis, six standard
+    deviations each side.
     """
     model = model.upper()
     if model not in ("KL", "CL", "HPZ"):
@@ -361,35 +342,14 @@ def position_rep_residual(model, s, half_width=None, npts=201,
     if w <= 0 or b <= 0:
         raise ValueError("non-normalizable kernel")
 
-    sig_q, sig_r = math.sqrt(w / 2), 1 / math.sqrt(b)
-    if half_width is None:
-        lq, lr = 6 * sig_q, 6 * sig_r
-    else:
-        lq, lr = (half_width if np.iterable(half_width)
-                  else (half_width, half_width))
-        if lq < 3 * sig_q or lr < 3 * sig_r:
-            raise ValueError("under-resolved grid: need >= 3 standard "
-                             "deviations each side")
-    if npts < 201:
-        raise ValueError("under-resolved grid: need >= 201 points per axis")
-
-    q = np.linspace(-lq, lq, npts)
-    r = np.linspace(-lr, lr, npts)
-    Q, R = np.meshgrid(q, r, indexing="ij")
+    lq, lr = 6 * math.sqrt(w / 2), 6 / math.sqrt(b)
+    Q, R = np.meshgrid(np.linspace(-lq, lq, 201), np.linspace(-lr, lr, 201),
+                       indexing="ij")
     rho = np.exp(-Q ** 2 / w - b * R ** 2 / 2)
-
-    if method == "analytic":
-        rho_q = -(2 * Q / w) * rho
-        rho_r = -b * R * rho
-        rho_qr = (2 * b * Q * R / w) * rho
-        rho_qq = (4 * Q ** 2 / w ** 2 - 2 / w) * rho
-    elif method == "fd":
-        rho_q = np.gradient(rho, q, axis=0)
-        rho_r = np.gradient(rho, r, axis=1)
-        rho_qr = np.gradient(rho_q, r, axis=1)
-        rho_qq = np.gradient(rho_q, q, axis=0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    rho_q = -(2 * Q / w) * rho
+    rho_r = -b * R * rho
+    rho_qr = (2 * b * Q * R / w) * rho
+    rho_qq = (4 * Q ** 2 / w ** 2 - 2 / w) * rho
 
     g = 1.0
     rot = 1j * w0 * (-rho_qr + Q * R * rho)

@@ -25,9 +25,9 @@ COMMUTATION_TABLE below.  They split into
 Only UNITARY + CONSERVING may appear in physical generators and symmetry
 transformations; the NONCONSERVING three complete the algebra.
 
-The ten are built sparse, from sparse ladder krons; ten_generators returns
-dense views (for dense exponentials) by default.  The identity checks
-below take either form.
+The ten are built sparse, from sparse ladder krons.  Every library caller
+asks ten_generators for that sparse set (dense=False) and densifies at
+most one generator at a time, for an exponential.
 """
 
 from typing import NamedTuple
@@ -149,11 +149,9 @@ class CoefficientVector(NamedTuple):
 
 
 def build_generator(coeffs, gens, n):
-    """Matrix of the generic generator from a precomputed generator dict,
-    sparse or dense like the dict."""
+    """Sparse matrix of the generic generator from the sparse set gens."""
     c = CoefficientVector(*coeffs)
-    identity = sparse.eye_array if sparse.issparse(gens["O0"]) else np.eye
-    eye = identity(n * n, dtype=complex)
+    eye = sparse.eye_array(n * n, dtype=complex)
     return (c.h0 * gens["iL0"] + c.h1 * gens["iM1"] + c.h2 * gens["iM2"]
             + c.g0 * (gens["O0"] - eye / 2)
             + c.gp * gens["O+"] + c.g1 * gens["L1+"] + c.g2 * gens["L2+"])
@@ -170,21 +168,19 @@ def commutator_defect(gens, x, y):
     return comm
 
 
-def commutation_residuals(n, gens=None):
+def commutation_residuals(n, gens):
     """Max residual of [A, B] against COMMUTATION_TABLE for every pair with
-    A before B in GENERATOR_NAMES, measured on the safe block.  [B, A] =
-    -[A, B] and the table is antisymmetric, so the other pairs repeat
-    these.  Builds the sparse set when gens is not given."""
+    A before B in GENERATOR_NAMES, measured on the safe block of the
+    sparse set gens.  [B, A] = -[A, B] and the table is antisymmetric, so
+    the other pairs repeat these."""
     from .liouville import safe_block_residual
-    if gens is None:
-        gens = ten_generators(n, dense=False)
     return {(x, y): safe_block_residual(commutator_defect(gens, x, y), n)
             for i, x in enumerate(GENERATOR_NAMES)
             for y in GENERATOR_NAMES[i + 1:]}
 
 
 def trace_residuals(rho, gens, n):
-    """Residuals of the trace identities, for a sparse or dense gens.
+    """Residuals of the trace identities on the sparse set gens.
 
     The seven conserving directions give tr(J rho) = 0 (with O0 shifted by
     -1/2); the three others reproduce second moments (see trace_moment).

@@ -37,12 +37,9 @@ def swap_indices(n):
 
 
 def make_superoperator(x1, x2):
-    """Matrix of rho -> x1 rho x2, sparse CSR when a factor is sparse."""
-    if sparse.issparse(x1) or sparse.issparse(x2):
-        return sparse.kron(x1, x2.T, format="csr")
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    return np.kron(x1, x2.T)
+    """Matrix of rho -> x1 rho x2, in CSR form."""
+    return sparse.csr_array(sparse.kron(x1, x2.T, format="csr"),
+                            dtype=complex)
 
 
 def associate_super(X, n):

@@ -88,12 +88,11 @@ def model_coefficients(p):
     return CoefficientVector(w, 0.0, -g, g, -2 * g * b, -2 * g * b, -d)
 
 
-def model_generator(p, n, gens=None):
-    """Generator K for the model at cutoff n, as a SuperOperator,
-    assembled from the sparse generators unless a generator dict is given."""
-    if gens is None:
-        gens = ten_generators(n, dense=False)
-    return SuperOperator(build_generator(model_coefficients(p), gens, n), n)
+def model_generator(p, n):
+    """Generator K for the model at cutoff n, as a SuperOperator
+    assembled from the sparse generators."""
+    return SuperOperator(build_generator(model_coefficients(p),
+                                         ten_generators(n, dense=False), n), n)
 
 
 @dataclass
@@ -159,7 +158,7 @@ def evolve(K, rho0, t_max, steps):
     return Trajectory(times, states, observables(states), max_tr, max_herm)
 
 
-def steady_state(K, return_info=False):
+def steady_state(K):
     """Stationary density matrix of K from its near-null eigenvector.
 
     The eigenvalues nearest zero come from shift-invert on the sparse K,
@@ -167,9 +166,8 @@ def steady_state(K, return_info=False):
     of zero; exactly one must, else the kernel is degenerate.  The dense
     spectrum decides where ARPACK cannot (k >= n^2 - 1, or no converged
     pair).  The kernel's eigenvector is reshaped, hermitized and
-    trace-normalized.  With return_info=True also returns a dict with the
-    kernel eigenvalue, the residual ||K vec(rho)|| and the smallest
-    eigenvalue of rho.
+    trace-normalized.  Returns rho and a dict with the kernel eigenvalue,
+    the residual ||K vec(rho)|| and the smallest eigenvalue of rho.
     """
     mat, n = _matrix_and_dim(K)
     # a fixed start vector keeps the result independent of earlier calls
@@ -208,8 +206,6 @@ def steady_state(K, return_info=False):
         raise DegenerateKernelError("kernel vector is traceless; no "
                                     "normalizable stationary state")
     rho = rho / tr
-    if not return_info:
-        return rho
     info = {
         "eigenvalue": evals[nearest],
         "residual": float(np.linalg.norm(mat @ vec(rho))),
@@ -257,14 +253,13 @@ def transformation(kind, p, param, phi=0.0):
 
 
 def expectation_invariance_check(seq, o, rho):
-    """<o> = tr(o^dag rho) before and after transforming both o and rho.
+    """<o> = tr(o^dag rho) before and after transforming both o and rho by
+    the TransformSequence seq.
 
     Transforming observable and state by the same S leaves the pairing
     invariant exactly when S is unitary on operator space (every step
     from the anti-hermitian set); conserving steps change it in general.
     """
-    if not isinstance(seq, TransformSequence):
-        seq = TransformSequence(seq)
     o = np.asarray(o, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     n = o.shape[0]

@@ -67,17 +67,17 @@ class TransformSequence:
         """Reversed order with negated parameters."""
         return TransformSequence([s.inverse() for s in reversed(self.steps)])
 
-    def matrix(self, n, gens=None):
-        """Dense operator-space matrix of the product."""
-        if gens is None:
-            gens = ten_generators(n)
+    def matrix(self, n):
+        """Dense operator-space matrix of the product, each step's sparse
+        generator densified just before its exponential."""
+        gens = ten_generators(n, dense=False)
         S = np.eye(n * n, dtype=complex)
         for step in self.steps:
             if abs(step.parameter) > PARAM_CAP:
                 raise ValueError(
                     f"|parameter| = {abs(step.parameter)} exceeds {PARAM_CAP}; "
                     "the exponential overflows at working cutoffs")
-            S = S @ expm(step.parameter * gens[step.generator])
+            S = S @ expm(step.parameter * gens[step.generator].toarray())
         return S
 
     def rep4(self):
@@ -153,23 +153,16 @@ def apply_sequence(seq, coeffs):
     return c
 
 
-def superop_similarity(seq, K, n, gens=None):
-    """Dense S K S^{-1}.  The inverse is built from the inverse sequence
-    (exact for exponentials), not by matrix inversion."""
-    if not isinstance(seq, TransformSequence):
-        seq = TransformSequence(seq)
-    if gens is None:
-        gens = ten_generators(n)
-    S = seq.matrix(n, gens)
-    Sinv = seq.inverse().matrix(n, gens)
-    return S @ K @ Sinv
+def superop_similarity(seq, K, n):
+    """Dense S K S^{-1} for a TransformSequence seq.  The inverse is built
+    from the inverse sequence (exact for exponentials), not by matrix
+    inversion."""
+    return seq.matrix(n) @ K @ seq.inverse().matrix(n)
 
 
-def apply_sequence_to_vec(seq, v, n, gens=None):
-    """S v with the rightmost step acting first."""
-    if not isinstance(seq, TransformSequence):
-        seq = TransformSequence(seq)
-    return seq.matrix(n, gens) @ v
+def apply_sequence_to_vec(seq, v, n):
+    """S v for a TransformSequence seq, the rightmost step acting first."""
+    return seq.matrix(n) @ v
 
 
 # ------------------------------------------------------------ state builder

@@ -9,9 +9,11 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
+import liosym.cli
 import liosym.generators
 from liosym import (TRANSFORMATIONS, StationaryGaussian, exact_edges,
                     kl2cl_theta)
@@ -372,15 +374,54 @@ def test_map_modes_run_the_kinds_of_domain(tmp_path, capsys):
 
 
 def test_library_warnings_print_as_one_stderr_line(tmp_path, capsys):
-    # n = 8 leaks trace on the KL trajectory
-    path = tmp_path / "traj.csv"
-    code = main(["evolve", "--model", "kl", "--gamma", "0.4", "--b", "1",
-                 "--fock-dim", "8", "--out", str(path)])
-    assert code == 0
+    # whatever the caller's filters: "error" would make the warning a
+    # traceback, and a default filter already triggered would swallow it
+    for argv, warning in [
+            # n = 8 leaks trace on the KL trajectory
+            (["evolve", "--model", "kl", "--gamma", "0.4", "--b", "1",
+              "--fock-dim", "8"], "trajectory tolerance breach: "),
+            (["map", "--from", "cl", "--to", "hpz", "--zeta", "1.8"],
+             "the transformed stationary state ")]:
+        for caller_filter in ("error", "default", "default"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(caller_filter)
+                code = main(argv + ["--out", str(tmp_path / "out")])
+            assert code == 0
+            err = capsys.readouterr().err
+            assert err.startswith(f"warning: {warning}"), caller_filter
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert ".py" not in err and "UserWarning" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["evolve", "--model", "kl", "--init", "fock:abc"], "--init fock:abc"),
+    (["evolve", "--model", "kl", "--init", "coherent:abc"],
+     "--init coherent:abc"),
+    (["evolve", "--model", "kl", "--init", "gibbs:-1"], "--init gibbs:-1"),
+    (["evolve", "--model", "kl", "--init", "fock:9", "--fock-dim", "6"],
+     "--init fock:9"),
+    (["evolve", "--model", "kl", "--init", "bananas"], "--init bananas"),
+    # w = 2b + d/omega0 = 0: no kernel, diagnosed before K is built
+    (["steady", "--model", "hpz", "--b", "0.5", "--d=-1"], "--b 0.5, --d -1"),
+    (["verify", "--fock-dim", "8", "--tol=-1"], "--tol -1"),
+    (["verify", "--fock-dim", "8", "--tol", "0"], "--tol 0"),
+    # the base is positive (w = 2, 2bw = 4), so the edge
+    # xi = 1/(2w) - b e^{2 phi} exists, but e^{|phi|} puts it beyond float
+    # resolution of the flow or of the Fock scan
+    *[(["domain", "--kind", "hpz", "--b", "1", f"--phi={phi}"],
+       f"--phi {phi}") for phi in ("20", "21", "22", "30", "-20", "-12")]])
+def test_invalid_inputs_name_their_option(tmp_path, capsys, monkeypatch,
+                                          argv, option):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("K built for an invalid configuration")
+
+    monkeypatch.setattr(liosym.cli, "model_generator", no_generator)
+    code, report = run_json(tmp_path, argv)
+    assert code == 2 and report is None
     err = capsys.readouterr().err
-    assert err.startswith("warning: trajectory tolerance breach: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert ".py" not in err and "UserWarning" not in err
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
+    if argv[0] == "domain":
+        assert "beyond what the flow and the Fock scan can resolve" in err
 
 
 def test_steady_hpz_report(tmp_path):
@@ -400,12 +441,16 @@ def test_steady_hpz_report(tmp_path):
 
 
 def test_steady_flags_the_purity_boundary(tmp_path):
-    code, report = run_json(
-        tmp_path, ["steady", "--model", "cl", "--b", "0.5",
-                   "--gamma", "0.4", "--fock-dim", "24"])
-    assert code == 0
-    assert report["gaussian"]["on_boundary"]
-    assert abs(report["gaussian"]["nu"]) <= 1e-9
+    for argv, positive in [
+            (["--model", "cl", "--b", "0.5"], True),
+            # 2bw = 1 - 1e-13: within roundoff of the boundary, but outside
+            (["--model", "hpz", "--b", "0.5", "--d=-1e-13"], False)]:
+        code, report = run_json(
+            tmp_path, ["steady", *argv, "--gamma", "0.4", "--fock-dim", "24"])
+        assert code == 0
+        assert report["gaussian"]["on_boundary"]
+        assert abs(report["gaussian"]["nu"]) <= 1e-9
+        assert report["gaussian"]["positive"] is positive, argv
 
 
 def test_steady_hpz_at_a_large_cutoff(tmp_path):

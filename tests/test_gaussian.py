@@ -15,9 +15,7 @@ from liosym import (
     apply_sequence,
     exact_edges,
     fock_from_gaussian,
-    gaussian_from_bd,
     hermite_psi,
-    is_positive,
     kl2cl_theta,
     model_coefficients,
     model_generator,
@@ -33,34 +31,39 @@ from liosym.generators import ten_generators
 from liosym.liouville import unvec, vec
 
 
-def test_gaussian_from_bd_examples():
-    g = gaussian_from_bd(StationaryGaussian(0.5))
-    assert (g.mu, g.kappa, g.nu) == (0.5, 0.0, 0.0)
-    g = gaussian_from_bd(StationaryGaussian(1.0))
-    assert (g.mu, g.nu) == (0.25, 0.75)
+def test_kernel_coefficients_of_the_stationary_gaussian():
+    s = StationaryGaussian(0.5)
+    assert (s.mu, s.nu) == (0.5, 0.0)
+    s = StationaryGaussian(1.0)
+    assert (s.mu, s.nu) == (0.25, 0.75)
     s = StationaryGaussian(1.0, 0.5, 1.0)
-    g = gaussian_from_bd(s)
-    assert g.mu == pytest.approx(0.2, abs=1e-15)
-    assert g.nu == pytest.approx(0.8, abs=1e-15)
+    assert s.mu == pytest.approx(0.2, abs=1e-15)
+    assert s.nu == pytest.approx(0.8, abs=1e-15)
     assert s.width == pytest.approx(2.5, abs=1e-15)
     assert s.x2 == pytest.approx(1.25, abs=1e-15)
     assert s.p2 == 1.0
 
 
-def test_gaussian_from_bd_rejects_vanishing_width():
+def test_vanishing_width_has_no_kernel():
+    s = StationaryGaussian(0.5, -1.0)
     with pytest.raises(ValueError, match="vanishing width"):
-        gaussian_from_bd(StationaryGaussian(0.5, -1.0))
+        s.mu
+    with pytest.raises(ValueError, match="vanishing width"):
+        s.nu
+    assert not s.positive
     with pytest.raises(ValueError, match="omega0"):
         StationaryGaussian(1.0, 0.0, -1.0)
 
 
-def test_is_positive():
-    assert is_positive(gaussian_from_bd(StationaryGaussian(1.0)))
-    assert not is_positive(gaussian_from_bd(StationaryGaussian(0.4)))
+def test_positive_is_the_operator_criterion():
+    assert StationaryGaussian(1.0).positive
+    assert not StationaryGaussian(0.4).positive
     # pure-state boundary nu = 0
-    assert is_positive(gaussian_from_bd(StationaryGaussian(0.5)))
+    assert StationaryGaussian(0.5).positive
+    # within roundoff below it: no slack
+    assert not StationaryGaussian(0.5, -1e-13).positive
     # negative width: mu < 0
-    assert not is_positive(gaussian_from_bd(StationaryGaussian(0.5, -2.0)))
+    assert not StationaryGaussian(0.5, -2.0).positive
 
 
 def test_uncertainty_identity_matches_the_predicate():
@@ -73,7 +76,8 @@ def test_uncertainty_identity_matches_the_predicate():
         s = StationaryGaussian(b, d)
         if abs(s.width) < 1e-3 or abs(2 * b * s.width - 1) < 1e-6:
             continue
-        assert (s.x2 * s.p2 >= 0.25) == is_positive(gaussian_from_bd(s))
+        assert (s.x2 * s.p2 >= 0.25) == s.positive
+        assert s.positive == (s.mu > 0 and s.nu >= 0)
         checked += 1
 
 
@@ -93,7 +97,7 @@ def test_fock_from_gaussian_matches_the_dynamical_steady_state():
     n = 30
     for p in (ModelParams("CL", 1.0, 0.4, 0.8),
               ModelParams("HPZ", 1.0, 0.4, 1.0, 0.5)):
-        rho_dyn = steady_state(model_generator(p, n))
+        rho_dyn, _ = steady_state(model_generator(p, n))
         rho_quad = fock_from_gaussian(StationaryGaussian(p.b, p.d, p.omega0),
                                       n)
         assert np.abs(rho_dyn - rho_quad).max() < 1e-9, p.model
@@ -164,9 +168,9 @@ def test_domain_bound_values():
                 assert got.keys() == edges.keys(), kind
                 for key, (edge, out) in edges.items():
                     assert abs(got[key] - edge) <= 1e-14, (kind, b, phi, key)
-                    inside = [is_positive(gaussian_from_bd(
-                        transformed_gaussian(kind, s, edge + dp, phi)))
-                        for dp in (-out * 1e-9, out * 1e-9)]
+                    inside = [transformed_gaussian(kind, s, edge + dp,
+                                                   phi).positive
+                              for dp in (-out * 1e-9, out * 1e-9)]
                     assert inside == [True, False], (kind, b, phi, key)
 
     s = StationaryGaussian(1.0)
@@ -257,26 +261,12 @@ def test_position_rep_residual_analytic():
         assert position_rep_residual(model, s) < 1e-6, model
 
 
-def test_position_rep_residual_finite_differences():
-    for model, s in [("KL", StationaryGaussian(0.8)),
-                     ("CL", StationaryGaussian(1.0)),
-                     ("HPZ", StationaryGaussian(1.0, 0.5))]:
-        got = position_rep_residual(model, s, npts=1201, method="fd")
-        assert got < 1e-4, model
-
-
 def test_position_rep_residual_validation():
     s = StationaryGaussian(1.0)
     with pytest.raises(ValueError, match="unknown model"):
         position_rep_residual("XY", s)
     with pytest.raises(ValueError, match="d = 0"):
         position_rep_residual("KL", StationaryGaussian(1.0, 0.5))
-    with pytest.raises(ValueError, match="201 points"):
-        position_rep_residual("CL", s, npts=100)
-    with pytest.raises(ValueError, match="standard deviations"):
-        position_rep_residual("CL", s, half_width=1.0)
-    with pytest.raises(ValueError, match="unknown method"):
-        position_rep_residual("CL", s, method="spectral")
     with pytest.raises(ValueError, match="non-normalizable"):
         position_rep_residual("HPZ", StationaryGaussian(0.5, -2.0))
 
@@ -294,5 +284,5 @@ def test_quadrature_and_predicate_classify_alike():
             continue
         rho = fock_from_gaussian(s, n)
         quad = float(np.linalg.eigvalsh(rho).min()) > -1e-9
-        assert quad == is_positive(gaussian_from_bd(s)), (b, d)
+        assert quad == s.positive, (b, d)
         checked += 1

@@ -26,6 +26,7 @@ def test_superoperator_matches_sandwich():
     n = 7
     x1, x2, rho = random_op(n), random_op(n), random_op(n)
     X = make_superoperator(x1, x2)
+    assert X.format == "csr"
     assert np.allclose(unvec(X @ vec(rho), n), x1 @ rho @ x2, atol=1e-13)
 
 
@@ -105,11 +106,11 @@ def test_superoperator_holds_the_sparse_matrix_and_a_dense_view():
     X = make_superoperator(a, a.conj().T)
     S = SuperOperator(X, n)
     assert sparse.issparse(S.csr)
-    assert S.csr.nnz == np.count_nonzero(X)
+    assert S.csr.nnz == np.count_nonzero(X.toarray())
     rho = random_density(n, RNG)
     assert np.allclose(unvec(S.csr @ vec(rho), n), a @ rho @ a.conj().T,
                        atol=1e-13)
-    assert np.array_equal(S.mat, X)
+    assert np.array_equal(S.mat, X.toarray())
 
 
 def test_superoperator_shape_validation():

@@ -48,10 +48,11 @@ def test_sequence_inverse_reverses_and_negates():
 
 def test_sequence_matrix_order_is_left_to_right_product():
     n = 8
-    gens = ten_generators(n)
+    gens = ten_generators(n, dense=False)
     seq = TransformSequence([("iL0", 0.4), ("iM1", 0.2)])
-    want = expm(0.4 * gens["iL0"]) @ expm(0.2 * gens["iM1"])
-    assert np.abs(seq.matrix(n, gens) - want).max() < 1e-12
+    want = (expm(0.4 * gens["iL0"].toarray())
+            @ expm(0.2 * gens["iM1"].toarray()))
+    assert np.abs(seq.matrix(n) - want).max() < 1e-12
 
 
 def test_parameter_cap_enforced():
@@ -88,7 +89,7 @@ def test_derivative_map_is_the_map_derivative():
 
 def test_derivative_map_matches_fock_commutator():
     n = 14
-    gens = ten_generators(n)
+    gens = ten_generators(n, dense=False)
     for name in MAPPABLE:
         c = random_coeffs()
         K = build_generator(c, gens, n)
@@ -143,12 +144,12 @@ def test_superop_similarity_matches_map_for_compact_rotation():
     # generator (O0 included, it creates excitation pairs) has an unbounded
     # exponential whose truncation corrupts even the safe block
     n = 12
-    gens = ten_generators(n)
+    gens = ten_generators(n, dense=False)
     c = random_coeffs()
     K = build_generator(c, gens, n)
     seq = TransformSequence([("iL0", 0.7)])
-    lhs = superop_similarity(seq, K, n, gens)
-    rhs = build_generator(apply_sequence(seq, c), gens, n)
+    lhs = superop_similarity(seq, K, n)
+    rhs = build_generator(apply_sequence(seq, c), gens, n).toarray()
     assert safe_block_residual(lhs - rhs, n) < 1e-8
 
 
@@ -179,7 +180,7 @@ def test_vacuum_annihilating_generator_kills_the_vacuum():
     n = 12
     h0, g0, h1, h2 = 0.8, 0.5, 0.3, -0.2
     c = CoefficientVector(h0, h1, h2, g0, -g0, h2, -h1)
-    K = build_generator(c, ten_generators(n), n)
+    K = build_generator(c, ten_generators(n, dense=False), n)
     assert np.abs(K @ vec(fock_projector(0, n))).max() < 1e-13
 
 
