@@ -130,7 +130,10 @@ def cmd_evolve(args):
         rho0 = _initial_state(args.init, n)
     except ValueError as exc:
         raise ValueError(f"--init {args.init}: {exc}") from None
-    traj = evolve(model_generator(p, n), rho0, args.t_max, args.steps)
+    try:
+        traj = evolve(model_generator(p, n), rho0, args.t_max, args.steps)
+    except FloatingPointError as exc:
+        raise ValueError(f"--fock-dim {n}: {exc}") from None
 
     buf = io.StringIO()
     w = csv.writer(buf)

@@ -4,9 +4,12 @@ Three generators are covered, all bilinear in the ladder operators: the
 number-conserving damping model (KL), the position-damping model (CL),
 and its extension with an independent momentum-diffusion coefficient
 (HPZ).  States evolve by rho(t) = exp(-K t) rho(0) on a uniform time
-grid (evolve), and one set of moment formulas (observables) serves both
-trajectories and stationary states.  K is a sparse matrix or the
-SuperOperator that model_generator returns.
+grid (evolve), one dense exponential per invariant block of K that the
+initial state occupies, and one set of moment formulas (observables)
+serves both trajectories and stationary states.  K is a sparse matrix or
+the SuperOperator that model_generator returns.  The blocks of a model's
+K are at most about n^2/2 wide, so evolve never densifies the whole
+n^2 x n^2 matrix.
 
 The symmetry content is the five transformations of
 gaussian.TRANSFORMATIONS, which transformation applies to a model:
@@ -109,7 +112,7 @@ def observables(states):
 
     x, p, x2, p2 and n are Re tr(op rho); purity is Re tr(rho^2), trace
     the real part of the trace, and min_eig the smallest eigenvalue of the
-    hermitian part (rho + rho^dag)/2.
+    hermitian part (rho + rho^dag)/2, or NaN where that part is not finite.
     """
     n = states.shape[-1]
     x, p = position(n), momentum(n)
@@ -118,8 +121,10 @@ def observables(states):
                for k, op in ops.items()}
     moments["purity"] = np.trace(states @ states, axis1=1, axis2=2).real
     moments["trace"] = np.trace(states, axis1=1, axis2=2).real
-    moments["min_eig"] = np.linalg.eigvalsh(
-        (states + states.conj().transpose(0, 2, 1)) / 2).min(axis=1)
+    herm = (states + states.conj().transpose(0, 2, 1)) / 2
+    finite = np.isfinite(herm).all(axis=(1, 2))
+    moments["min_eig"] = np.full(len(states), np.nan)
+    moments["min_eig"][finite] = np.linalg.eigvalsh(herm[finite]).min(axis=1)
     return moments
 
 
@@ -127,35 +132,65 @@ def evolve(K, rho0, t_max, steps):
     """Propagate rho0 through rho(t) = exp(-K t) rho0 on the uniform grid
     t = 0, t_max/steps, ..., t_max.
 
-    One dense exp(-K t_max/steps) is applied steps times.  Hermiticity
-    and unit trace are checked at every time against a 1e-8 budget; a
-    breach is reported with a warning (truncation leakage grows with
-    gamma*t and shrinks with cutoff), never raised, and the worst
-    violations are returned on the trajectory.
+    K splits into invariant blocks, the connected components of its
+    stored pattern: every bilinear generator commutes with the parity map
+    rho -> (-1)^N rho (-1)^N, so K never couples even to odd m+n, and
+    KL's phase covariance also keeps m-n.  For each block that vec(rho0)
+    occupies, one dense exp(-K_block t_max/steps) is applied steps times;
+    the other blocks stay exactly zero.  A stored zero can only merge
+    blocks, so the split is exact for any sparse K.
+
+    A state or moment that leaves floating range raises
+    FloatingPointError naming its time: the truncated generator is
+    unstable.  Otherwise hermiticity and unit trace are checked at every
+    time against a 1e-8 budget; a breach is reported with a warning
+    (truncation leakage grows with gamma*t and shrinks with cutoff), never
+    raised, and the worst violations are returned on the trajectory.
     """
+    # csgraph takes about 45 ms to import, and only evolve needs it
+    from scipy.sparse.csgraph import connected_components
+
     if steps < 1 or not t_max > 0:
         raise ValueError("need t-max > 0 and steps >= 1")
     mat, n = _matrix_and_dim(K)
+    mat = sparse.csr_array(mat)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (n, n):
         raise ValueError(f"state shape {rho0.shape} does not match cutoff {n}")
 
     times = np.linspace(0.0, t_max, steps + 1)
-    prop = expm(-times[1] * mat.toarray())
-    vecs = np.empty((steps + 1, n * n), dtype=complex)
-    vecs[0] = vec(rho0)
-    for i in range(steps):
-        vecs[i + 1] = prop @ vecs[i]
-    states = vecs.reshape(-1, n, n)
-
-    max_tr = float(np.abs(np.trace(states, axis1=1, axis2=2) - 1).max())
-    max_herm = float(np.abs(states - states.conj().transpose(0, 2, 1)).max())
-    if not (max_tr <= 1e-8 and max_herm <= 1e-8):  # NaN is a breach too
+    # a real pattern: csgraph would cast a complex K with a ComplexWarning
+    pattern = sparse.csr_array(
+        (np.ones(mat.indices.size), mat.indices, mat.indptr), shape=mat.shape)
+    _, labels = connected_components(pattern, directed=False)
+    v0 = vec(rho0)
+    vecs = np.zeros((steps + 1, n * n), dtype=complex)
+    with np.errstate(all="ignore"):
+        for label in np.unique(labels[v0 != 0]):
+            idx = np.flatnonzero(labels == label)
+            prop = expm(-times[1] * mat[idx][:, idx].toarray())
+            block = np.empty((steps + 1, idx.size), dtype=complex)
+            block[0] = v0[idx]
+            for i in range(steps):
+                block[i + 1] = prop @ block[i]
+            vecs[:, idx] = block
+        states = vecs.reshape(-1, n, n)
+        moments = observables(states)
+        max_tr = float(np.abs(np.trace(states, axis1=1, axis2=2) - 1).max())
+        max_herm = float(np.abs(states - states.conj().transpose(0, 2, 1))
+                         .max())
+    finite = np.logical_and.reduce([np.isfinite(m) for m in moments.values()])
+    if not finite.all():
+        raise FloatingPointError(
+            f"the state at t = {times[np.argmin(finite)]:.6g} or its moments "
+            "are not finite in floating point: the truncated generator is "
+            "unstable at this cutoff")
+    if not (max_tr <= 1e-8 and max_herm <= 1e-8):
         warnings.warn(
             f"trajectory tolerance breach: |trace-1| up to {max_tr:.2e}, "
             f"hermiticity defect up to {max_herm:.2e} (budget 1e-08); "
             "likely truncation leakage, raise the cutoff", stacklevel=2)
-    return Trajectory(times, states, observables(states), max_tr, max_herm)
+    return Trajectory(times, states, moments, max_tr, max_herm)
 
 
 def steady_state(K):

@@ -139,6 +139,23 @@ def test_evolve_documents_negative_eigenvalues_below_the_domain(tmp_path):
     assert min(float(r[idx]) for r in rows) < -0.05
 
 
+def test_evolve_diagnoses_an_unstable_truncation(tmp_path, capsys):
+    # truncated at n = 24, HPZ at d = 0.8 has growing modes: the trajectory
+    # leaves floating range before t = 60, with no numpy warning on the way
+    path = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["evolve", "--model", "hpz", "--b", "1", "--gamma", "0.4",
+                     "--d", "0.8", "--fock-dim", "24", "--t-max", "60",
+                     "--out", str(path)])
+    assert code == 2 and not path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fock-dim 24: the state at t = ")
+    assert err.endswith("the truncated generator is unstable at this "
+                        "cutoff\n")
+    assert err.count("\n") == 1
+
+
 def test_map_thermal_invariance(tmp_path):
     code, report = run_json(
         tmp_path, ["map", "--invariance", "thermal", "--model", "kl",

@@ -11,13 +11,16 @@ from liosym import (
     CoefficientVector,
     DegenerateKernelError,
     ModelParams,
+    SuperOperator,
     TransformSequence,
     apply_sequence,
     build_generator,
+    coherent_projector,
     evolve,
     expectation_invariance_check,
     fock_projector,
     kl2cl_theta,
+    make_superoperator,
     model_coefficients,
     model_generator,
     models,
@@ -97,15 +100,12 @@ def test_evolve_semigroup_split():
     assert np.abs(resumed.states[1] - traj.states[2]).max() < 1e-12
 
 
-@pytest.mark.parametrize("t_max, steps", [(50.0, 100), (50.0, 1000)])
-@pytest.mark.parametrize("p", [ModelParams("KL", 1.0, 0.4, 0.6),
-                               ModelParams("CL", 1.0, 0.4, 0.6),
-                               ModelParams("HPZ", 1.0, 0.4, 0.6, 0.1)],
-                         ids=["KL", "CL", "HPZ"])
-def test_evolve_matches_a_per_step_reference(monkeypatch, p, t_max, steps):
-    n = 12
-    K = model_generator(p, n)
-    rho0 = fock_projector(1, n)
+def _evolve_against_a_per_step_reference(monkeypatch, K, rho0, t_max,
+                                         steps):
+    """Check evolve's states within 1e-12 of a dense per-step reference
+    and every moment equal to its per-state formula; return the shapes of
+    the matrices evolve exponentiated."""
+    n = rho0.shape[0]
     times = np.linspace(0.0, t_max, steps + 1)
 
     # one exponential per distinct float step of the grid; the steps of
@@ -118,15 +118,14 @@ def test_evolve_matches_a_per_step_reference(monkeypatch, p, t_max, steps):
         v = exact[dt] @ v
         want.append(v.reshape(n, n))
 
-    calls = []
+    shapes = []
 
-    def counting_expm(a):
-        calls.append(1)
+    def recording_expm(a):
+        shapes.append(a.shape)
         return expm(a)
 
-    monkeypatch.setattr(models, "expm", counting_expm)
+    monkeypatch.setattr(models, "expm", recording_expm)
     traj = evolve(K, rho0, t_max, steps)
-    assert len(calls) == 1
     assert np.array_equal(traj.times, times)
     assert np.abs(traj.states - np.array(want)).max() < 1e-12
 
@@ -150,6 +149,60 @@ def test_evolve_matches_a_per_step_reference(monkeypatch, p, t_max, steps):
         max(abs(np.trace(r) - 1) for r in traj.states), rel=1e-15)
     assert traj.max_herm_violation == max(
         np.abs(r - r.conj().T).max() for r in traj.states)
+    return shapes
+
+
+MODEL_POINTS = [ModelParams("KL", 1.0, 0.4, 0.6),
+                ModelParams("CL", 1.0, 0.4, 0.6),
+                ModelParams("HPZ", 1.0, 0.4, 0.6, 0.1)]
+
+
+@pytest.mark.parametrize("t_max, steps", [(50.0, 100), (50.0, 1000)])
+@pytest.mark.parametrize("p", MODEL_POINTS, ids=["KL", "CL", "HPZ"])
+def test_evolve_matches_a_per_step_reference(monkeypatch, p, t_max, steps):
+    n = 12
+    shapes = _evolve_against_a_per_step_reference(
+        monkeypatch, model_generator(p, n), fock_projector(1, n), t_max, steps)
+    # fock:1 occupies one invariant block of K, the m = k entries for KL and
+    # the even class of m + k for CL and HPZ; the 144 x 144 K is never
+    # exponentiated
+    width = n if p.model == "KL" else n * n // 2
+    assert shapes == [(width, width)]
+
+
+@pytest.mark.parametrize("t_max, steps", [(50.0, 100), (50.0, 1000)])
+@pytest.mark.parametrize("p, blocks", zip(MODEL_POINTS, (23, 2, 2)),
+                         ids=["KL", "CL", "HPZ"])
+def test_evolve_matches_a_per_step_reference_in_every_block(
+        monkeypatch, p, blocks, t_max, steps):
+    # a coherent state occupies every block: KL's 2n - 1 of fixed m - n,
+    # and the two parity classes of m + n for CL and HPZ; its tail leaks
+    # past cutoff 12 by more than the trace budget
+    n = 12
+    with pytest.warns(UserWarning, match="truncation leakage"):
+        shapes = _evolve_against_a_per_step_reference(
+            monkeypatch, model_generator(p, n),
+            coherent_projector(1 + 0.5j, n), t_max, steps)
+    assert len(shapes) == blocks
+
+
+def test_evolve_blocks_never_split_what_K_couples(monkeypatch):
+    n = 12
+    K = model_generator(MODEL_POINTS[1], n)
+    levels = np.arange(n)
+    odd = (levels[:, None] + levels[None, :]) % 2 == 1
+    # the unoccupied parity class of a bilinear K stays exactly empty
+    traj = evolve(K, fock_projector(1, n), 50.0, 100)
+    assert np.all(traj.states[:, odd] == 0)
+
+    # a linear drive i[x, rho] couples the parity classes: one block
+    x = position(n)
+    drive = (make_superoperator(x, np.eye(n))
+             - make_superoperator(np.eye(n), x))
+    driven = SuperOperator(K.csr + 0.05j * drive, n)
+    shapes = _evolve_against_a_per_step_reference(
+        monkeypatch, driven, fock_projector(1, n), 20.0, 200)
+    assert shapes == [(n * n, n * n)]
 
 
 def test_evolve_relaxes_to_the_thermal_state():
@@ -173,6 +226,23 @@ def test_evolve_warns_when_truncation_leaks():
     with pytest.warns(UserWarning, match="truncation leakage"):
         traj = evolve(K, fock_projector(0, n), 50.0, 1)
     assert traj.max_trace_violation > 1e-8
+
+
+def test_evolve_diagnoses_a_trajectory_that_leaves_floating_range():
+    # truncated at n = 24, HPZ at d = 0.8 has growing modes, and by t = 60
+    # the purity of the vacuum's trajectory overflows
+    n = 24
+    K = model_generator(ModelParams("HPZ", 1.0, 0.4, 1.0, 0.8), n)
+    with pytest.raises(FloatingPointError,
+                       match="unstable at this cutoff") as info:
+        evolve(K, fock_projector(0, n), 60.0, 100)
+    t_bad = float(str(info.value).split("t = ")[1].split()[0])
+    k = round(t_bad / 0.6)
+    assert 0 < k <= 100 and t_bad == pytest.approx(0.6 * k, rel=1e-5)
+    # the named time is the first: the grid up to the one before is finite
+    with pytest.warns(UserWarning, match="tolerance breach"):
+        traj = evolve(K, fock_projector(0, n), 0.6 * (k - 1), k - 1)
+    assert all(np.isfinite(m).all() for m in traj.moments.values())
 
 
 def test_steady_state_kl_is_the_gibbs_state():
