@@ -27,7 +27,7 @@ from .fock import (annihilation, coherent_projector, fock_projector,
                    thermal_state)
 from .fourdim import REP, SYMPLECTIC_FORM
 from .gaussian import (TRANSFORMATIONS, StationaryGaussian, exact_edges,
-                       fock_from_gaussian, hermite_psi, kl2cl_theta,
+                       fock_from_gaussian, kl2cl_theta,
                        numeric_positivity_boundary, position_rep_residual,
                        positivity_boundary, printed_forms,
                        transformed_gaussian)

@@ -67,8 +67,8 @@ def _emit_json(obj, path):
 def cmd_verify(args):
     n, tol = args.fock_dim, args.tol
     if n < 8:
-        raise ValueError("fock-dim must be at least 8 for the safe-block "
-                         "identity checks")
+        raise ValueError(f"--fock-dim {n}: must be at least 8 for the "
+                         "safe-block identity checks")
     if tol <= 0:
         raise ValueError(f"--tol {tol:g}: the tolerance must be positive")
     rng = np.random.default_rng(args.seed)
@@ -210,6 +210,9 @@ def cmd_domain(args):
     if args.kind == "kl2cl" and args.d != 0:
         raise ValueError(f"--d {args.d:g}: kl2cl maps a KL base, which has "
                          "no diffusion coefficient d")
+    if args.fock_dim < 2:
+        raise ValueError(f"--fock-dim {args.fock_dim}: a 1x1 density matrix "
+                         "is always positive; the scan has no edge to find")
     s = gaussian.StationaryGaussian(args.b, args.d, args.omega0)
     try:
         exact = gaussian.exact_edges(args.kind, s, phi=args.phi)

@@ -16,11 +16,10 @@ ways.  The exact criterion is the reference: each kind's parameter flow
 models.transformation also reads) gives the transformed Gaussian, which
 is positive exactly when w' > 0 and 2b'w' >= 1, so every domain edge is
 a root of 2b'w' = 1 along the flow, for any base (exact_edges).  The
-truncation cross-check rebuilds the transformed state in the Fock basis
-by quadrature and bisects the sign change of its smallest eigenvalue
-(positivity_boundary); a test pins the thermal flow to the literal
-exp(alpha O0) action on the Fock state.  The paper's printed conditions
-are read against the exact edges by printed_forms.
+truncation cross-check rebuilds the transformed state exactly in the Fock
+basis (fock_from_gaussian) and bisects the sign change of its smallest
+eigenvalue (positivity_boundary).  The paper's printed conditions are
+read against the exact edges by printed_forms.
 
 Everything is dimensionless (m = omega0 = hbar = 1 internally); x is the
 scaled position sqrt(m omega0) q.
@@ -32,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-QUAD_HALF_WIDTH, QUAD_NPTS = 12.0, 601  # fock_from_gaussian's grid
 SCAN_TOL = 1e-4  # positivity_boundary's accuracy in the parameter
 # Reconstructed states inside the positive domain carry O(1e-15) negative
 # roundoff, so "positive" means min-eig > -EIG_FLOOR; the located root
 # shifts by EIG_FLOOR/slope, negligible against SCAN_TOL.
 EIG_FLOOR = 1e-12
+WIDTH_ROUNDOFF_LIMIT = 1e-6  # exact_edges' bound on kappa eps at an edge
 
 
 @dataclass(frozen=True)
@@ -84,46 +83,36 @@ class StationaryGaussian:
 
 
 # ------------------------------------------------------------- Fock route
-def hermite_psi(nmax, x):
-    """Oscillator eigenfunctions psi_0 .. psi_{nmax-1} on the grid x,
-    by the stable normalized recurrence."""
-    x = np.asarray(x, dtype=float)
-    psi = np.empty((nmax, len(x)))
-    psi[0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2)
-    if nmax > 1:
-        psi[1] = math.sqrt(2) * x * psi[0]
-    for m in range(2, nmax):
-        psi[m] = (math.sqrt(2 / m) * x * psi[m - 1]
-                  - math.sqrt((m - 1) / m) * psi[m - 2])
-    return psi
-
-
 def fock_from_gaussian(s, n):
-    """Fock-basis matrix of the stationary Gaussian by grid quadrature.
+    """Exact Fock-basis matrix of the stationary Gaussian, in O(n^2).
 
-    rho_mn = integral psi_m(x) rho(x, xt) psi_n(xt) dx dxt.  The exponent
-    -Q^2/w - b r^2/2 is expanded in (x, xt) as -a (x^2 + xt^2) + c x xt,
-    a = 1/(4w) + b/2, c = b - 1/(2w), and built in one grid-sized array
-    filled in place (each further grid-sized temporary costs a fresh
-    mmap and its page faults).  The result is hermitized and
-    trace-normalized; eigenvalues of the exact operator are reproduced
-    to ~1e-13 for unit-scale widths at n = 30.  Requires a normalizable
-    kernel: w > 0 and b > 0.
+    In (x, xt) the kernel is exp(-a (x^2 + xt^2) + c x xt), a = 1/(4w) +
+    b/2, c = b - 1/(2w).  The Hermite generating function turns
+    sum_mk rho_mk s^m t^k / sqrt(m! k!) into a Gaussian integral,
+    ~ exp(u (s^2 + t^2) + v s t) with A = 2a + 1, D = A^2 - c^2 =
+    (1/w + 1)(2b + 1), u = A/D - 1/2 = (d/omega0)/(2wD) and v = 2c/D.  Its
+    s-derivative gives the recurrence (Dodonov, Man'ko and Man'ko, Phys.
+    Rev. A 50, 813 (1994)) sqrt(m+1) rho_{m+1,k} = 2u sqrt(m) rho_{m-1,k}
+    + v sqrt(k) rho_{m,k-1}, and row 0 its v-free case.  At d = 0, u = 0
+    and v = (2b-1)/(2b+1): the thermal state.  Hermitized and
+    trace-normalized.  Requires a normalizable kernel: w > 0 and b > 0.
     """
     w = s.width
     if w <= 0 or s.b <= 0:
         raise ValueError(f"non-normalizable kernel: w = {w:.6g}, "
                          f"b = {s.b:.6g} (both must be positive)")
-    x = np.linspace(-QUAD_HALF_WIDTH, QUAD_HALF_WIDTH, QUAD_NPTS)
-    dx = x[1] - x[0]
-    ax2 = (1 / (4 * w) + s.b / 2) * x * x
-    G = np.multiply.outer((s.b - 1 / (2 * w)) * x, x)
-    G -= ax2[:, None]
-    G -= ax2
-    np.exp(G, out=G)
-    psi = hermite_psi(n, x)
-    rho = (psi @ G @ psi.T) * dx * dx
-    rho = (rho + rho.T) / 2
+    D = (1 / w + 1) * (2 * s.b + 1)
+    u, v = (s.d / s.omega0) / (2 * w * D), (2 * s.b - 1 / w) / D
+    sq = np.sqrt(np.arange(n))
+    c, r, vsq = (2 * u * sq).tolist(), sq.tolist(), v * sq
+    # rho = R[:, 1:]; R[:, 0] = rho_{m,-1} = 0, and R[-1] meets c[0] = 0
+    R = np.zeros((n, n + 1))
+    R[0, 1] = 1.0
+    for k in range(2, n, 2):  # row 0: the v-free case, by symmetry
+        R[0, k + 1] = c[k - 1] * R[0, k - 1] / r[k]
+    for m in range(n - 1):
+        R[m + 1, 1:] = (c[m] * R[m - 1, 1:] + vsq * R[m, :-1]) / r[m + 1]
+    rho = (R[:, 1:] + R[:, 1:].T) / 2
     return rho / np.trace(rho)
 
 
@@ -165,10 +154,7 @@ def transformed_gaussian(kind, s, p, phi=0.0):
 
     The package's one copy of the five (b', d', omega0') flows, which
     models.transformation also reads.  kl2cl rejects a base with d != 0: KL
-    has none, and iM1 then L2+ turn it into a correlated state.  With
-    fock_from_gaussian the flows give the transformed state without ever
-    exponentiating a truncated shear generator (whose tails are wildly
-    amplified at any workable cutoff).
+    has none, and iM1 then L2+ turn it into a correlated state.
     """
     b, d, w0 = s.b, s.d, s.omega0
     if kind == "thermal":
@@ -213,6 +199,8 @@ def exact_edges(kind, s, phi=0.0):
     search starts inside the domain: at p = 0 when the base is inside,
     else at the first inside point of a doubling walk against the first
     edge's exit direction (for hpz with phi != 0, xi = 0 can lie outside).
+    Raises where w' = 2b' + d'/omega0 carries a rounding error kappa eps over
+    WIDTH_ROUNDOFF_LIMIT, kappa = (2|b'|+|d'|/omega0)/|w'| (hpz, large |phi|).
     """
     if kind not in TRANSFORMATIONS:
         raise ValueError(f"unknown domain kind {kind!r}")
@@ -233,9 +221,17 @@ def exact_edges(kind, s, phi=0.0):
 
     edges = TRANSFORMATIONS[kind].edges
     start = 0.0 if inside(0.0) else walk(0.0, -edges[0][1], True)
-    return {key: numeric_positivity_boundary(
-        inside, start, walk(start, exit_dir, False), 0.0)
-        for key, exit_dir in edges}
+    out = {}
+    for key, exit_dir in edges:
+        edge = numeric_positivity_boundary(
+            inside, start, walk(start, exit_dir, False), 0.0)
+        t = transformed_gaussian(kind, s, edge, phi)
+        kappa = (2 * abs(t.b) + abs(t.d) / t.omega0) / abs(t.width)
+        if kappa * np.finfo(float).eps > WIDTH_ROUNDOFF_LIMIT:
+            raise ValueError(f"the {kind} flow's width 2b' + d'/omega0 "
+                             f"cancels {kappa:.2g}-fold at the {key} edge")
+        out[key] = edge
+    return out
 
 
 def printed_forms(kind, s, edges, phi=0.0, gamma=None):
@@ -289,8 +285,8 @@ def positivity_boundary(kind, s, n=30, phi=0.0):
     each end is pulled halfway toward the edge until the transformed
     Gaussian there is normalizable (b' > 0, w' > 0) and on its own side of
     the edge.  In the bracket the parameter flow gives the transformed
-    Gaussian, quadrature its Fock-basis matrix at cutoff n, and
-    numeric_positivity_boundary the sign change of its smallest
+    Gaussian, fock_from_gaussian its exact Fock-basis matrix at cutoff n,
+    and numeric_positivity_boundary the sign change of its smallest
     eigenvalue, to SCAN_TOL.  No truncated generator is exponentiated:
     shear steps amplify the truncation tails wildly, and even the O0
     dilation, applied literally, turns the truncated state negative at

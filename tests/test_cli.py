@@ -290,6 +290,18 @@ def test_domain_hpz_starts_inside_the_domain(tmp_path):
     assert report["agree"]
 
 
+def test_domain_hpz_at_large_negative_phi(tmp_path):
+    # the flow's width w' = w e^phi still resolves here, and the scan finds
+    # the edge xi = 1/(2w) - b e^{2 phi} of the squeezed states around it
+    for phi in ("-11", "-10.5"):
+        code, report = run_json(tmp_path, ["domain", "--kind", "hpz", "--b",
+                                           "1", f"--phi={phi}"])
+        assert code == 0, phi
+        want = 0.25 - math.exp(2 * float(phi))
+        assert abs(report["numeric"]["boundary"] - want) <= 1e-3, phi
+        assert report["agree"] is True, phi
+
+
 def test_domain_rejects_a_base_with_no_positive_point(tmp_path, capsys):
     for b in ("-1", "0"):
         code, _ = run_json(tmp_path, ["domain", "--kind", "thermal",
@@ -424,9 +436,15 @@ def test_library_warnings_print_as_one_stderr_line(tmp_path, capsys):
     (["verify", "--fock-dim", "8", "--tol", "0"], "--tol 0"),
     # the base is positive (w = 2, 2bw = 4), so the edge
     # xi = 1/(2w) - b e^{2 phi} exists, but e^{|phi|} puts it beyond float
-    # resolution of the flow or of the Fock scan
+    # resolution of the flow or of the Fock scan; at phi <= -11.5 the
+    # flow's width w' = 2b' + d'/omega0 cancels to a relative rounding
+    # error over 1e-6
     *[(["domain", "--kind", "hpz", "--b", "1", f"--phi={phi}"],
-       f"--phi {phi}") for phi in ("20", "21", "22", "30", "-20", "-12")]])
+       f"--phi {phi}")
+      for phi in ("20", "21", "22", "30", "-20", "-12", "-11.5", "-16")],
+    (["verify", "--fock-dim", "6"], "--fock-dim 6"),
+    # a 1x1 density matrix is always positive: the scan has no edge
+    (["domain", "--kind", "thermal", "--fock-dim", "1"], "--fock-dim 1")])
 def test_invalid_inputs_name_their_option(tmp_path, capsys, monkeypatch,
                                           argv, option):
     def no_generator(*args, **kwargs):
@@ -437,7 +455,7 @@ def test_invalid_inputs_name_their_option(tmp_path, capsys, monkeypatch,
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
-    if argv[0] == "domain":
+    if argv[:3] == ["domain", "--kind", "hpz"]:
         assert "beyond what the flow and the Fock scan can resolve" in err
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from liosym import (
     TRANSFORMATIONS,
@@ -15,7 +15,6 @@ from liosym import (
     apply_sequence,
     exact_edges,
     fock_from_gaussian,
-    hermite_psi,
     kl2cl_theta,
     model_coefficients,
     model_generator,
@@ -81,16 +80,70 @@ def test_uncertainty_identity_matches_the_predicate():
         checked += 1
 
 
+# ------------------------------------- quadrature oracle for the Fock route
+QUAD_X = np.linspace(-12.0, 12.0, 601)  # resolves unit-scale kernels
+
+
+def hermite_psi(nmax, x):
+    """Oscillator eigenfunctions psi_0 .. psi_{nmax-1} on the grid x,
+    by the stable normalized recurrence."""
+    psi = np.empty((nmax, len(x)))
+    psi[0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2)
+    if nmax > 1:
+        psi[1] = math.sqrt(2) * x * psi[0]
+    for m in range(2, nmax):
+        psi[m] = (math.sqrt(2 / m) * x * psi[m - 1]
+                  - math.sqrt((m - 1) / m) * psi[m - 2])
+    return psi
+
+
+def quadrature_fock(s, n):
+    """rho_mk = integral psi_m(x) rho(x, xt) psi_k(xt) on the grid QUAD_X,
+    with the kernel -a (x^2 + xt^2) + c x xt, hermitized and
+    trace-normalized as fock_from_gaussian is."""
+    x, w = QUAD_X, s.width
+    a, c = 1 / (4 * w) + s.b / 2, s.b - 1 / (2 * w)
+    G = np.exp(-a * (x[:, None] ** 2 + x ** 2) + c * np.outer(x, x))
+    psi = hermite_psi(n, x)
+    rho = psi @ G @ psi.T
+    rho = (rho + rho.T) / 2
+    return rho / np.trace(rho)
+
+
 def test_hermite_psi_orthonormal():
-    x = np.linspace(-12, 12, 601)
-    psi = hermite_psi(30, x)
-    gram = psi @ psi.T * (x[1] - x[0])
+    psi = hermite_psi(30, QUAD_X)
+    gram = psi @ psi.T * (QUAD_X[1] - QUAD_X[0])
     assert np.abs(gram - np.eye(30)).max() < 1e-10
 
 
+def test_fock_from_gaussian_matches_the_quadrature():
+    # unit-scale bases, inside the domain and outside it (2bw < 1), with
+    # and without d
+    for b, d in ((1.0, 0.0), (1.0, 0.3), (0.8, -0.5), (2.0, 1.5),
+                 (0.4, 0.3), (0.6, -0.9), (0.3, 0.5)):
+        s = StationaryGaussian(b, d)
+        got, want = fock_from_gaussian(s, 30), quadrature_fock(s, 30)
+        assert np.abs(got - want).max() < 1e-12, (b, d)
+
+
 def test_fock_from_gaussian_reproduces_the_gibbs_state():
-    rho = fock_from_gaussian(StationaryGaussian(1.0), 30)
-    assert np.abs(rho - thermal_state(1.0, 30)).max() < 1e-12
+    # at d = 0, u = 0 and v = q: the recurrence is the geometric law
+    for b, n in ((0.5, 30), (0.7, 30), (1.0, 30), (1.5, 60), (3.0, 150)):
+        rho = fock_from_gaussian(StationaryGaussian(b), n)
+        assert np.abs(rho - thermal_state(b, n)).max() < 1e-15, b
+
+
+def test_fock_from_gaussian_at_a_large_cutoff():
+    # no grid to outgrow: n = 150 is finite and a density matrix, and its
+    # leading block is the n = 30 matrix, up to the trace
+    for s in (StationaryGaussian(1.0, 0.3), StationaryGaussian(0.4, 0.3),
+              StationaryGaussian(1000.0)):
+        rho = fock_from_gaussian(s, 150)
+        assert np.isfinite(rho).all()
+        assert np.array_equal(rho, rho.T)
+        assert abs(np.trace(rho) - 1) < 1e-14
+        block = rho[:30, :30] / np.trace(rho[:30, :30])
+        assert np.abs(block - fock_from_gaussian(s, 30)).max() < 1e-12, s
 
 
 def test_fock_from_gaussian_matches_the_dynamical_steady_state():
@@ -208,12 +261,12 @@ def test_thermal_flow_matches_the_literal_O0_action():
     # d' = d e^alpha; this pins it to exp(alpha O0) applied literally to
     # the Fock-basis state
     n = 30
-    O0 = ten_generators(n)["O0"]
+    O0 = ten_generators(n, dense=False)["O0"]
     bases = (StationaryGaussian(1.0), StationaryGaussian(1.0, 0.3))
     for alpha in (-0.3, 0.2):
-        S = expm(alpha * O0)
         for s in bases:
-            lit = unvec(S @ vec(fock_from_gaussian(s, n)), n)
+            lit = unvec(expm_multiply(alpha * O0,
+                                      vec(fock_from_gaussian(s, n))), n)
             lit = (lit + lit.conj().T) / 2
             lit /= np.trace(lit).real
             flow = fock_from_gaussian(
